@@ -9,10 +9,7 @@
 //!   hot path every experiment sits on.
 //! * `small_slot_200` — the amortized regime: n = 200, 1024 slots. Per-slot
 //!   fixed costs dominate here; this is the row that keeps the sharded
-//!   resolver's per-slot overhead (worker wake/park, formerly thread spawn)
-//!   honest — including `p1_*` rows with pooled phase-1 collection forced
-//!   on and `p3_batched_*` rows with pooled phase-3 delivery forced on
-//!   too (the fully pooled pipeline).
+//!   resolver's per-slot overhead (one worker wake/park per phase) honest.
 //! * `trial_reuse_200` — the trial-runner regime: 32 runs of 64 slots,
 //!   fresh engine per run vs one engine re-armed by `Engine::reset` (what
 //!   the `crn-workloads` runners do per worker).
@@ -124,27 +121,6 @@ fn run_slots_timed(net: &Network, resolver: Resolver, c: u16, slots: u64) -> u64
     eng.counters().deliveries
 }
 
-/// [`run_slots`] with phase-1 pooled collection forced on (threshold 0) —
-/// the batched `act_batch` chunks run on the engine's worker pool.
-fn run_slots_pooled_p1(net: &Network, resolver: Resolver, c: u16, slots: u64) -> u64 {
-    let mut eng = Engine::with_resolver(net, 42, resolver, |_| Chatter { c, heard: 0 });
-    eng.set_phase1_pool_min_nodes(0);
-    eng.run_to_completion(slots);
-    eng.counters().deliveries
-}
-
-/// [`run_slots`] with pooled phase-1 collection *and* pooled phase-3
-/// delivery forced on (both thresholds 0) — the fully pooled pipeline:
-/// `act_batch` chunks, sharded resolution, and `feedback_batch` chunks all
-/// run on the persistent worker pool.
-fn run_slots_pooled_p3(net: &Network, resolver: Resolver, c: u16, slots: u64) -> u64 {
-    let mut eng = Engine::with_resolver(net, 42, resolver, |_| Chatter { c, heard: 0 });
-    eng.set_phase1_pool_min_nodes(0);
-    eng.set_phase3_pool_min_nodes(0);
-    eng.run_to_completion(slots);
-    eng.counters().deliveries
-}
-
 /// Topology matrix × resolver. Slot counts shrink with n so a single
 /// iteration stays comparable across sizes.
 fn engine_throughput(criterion: &mut Criterion) {
@@ -192,9 +168,9 @@ fn engine_throughput(criterion: &mut Criterion) {
 /// amortized-cost scenario the paper's Ω(polylog n)-slot primitives live
 /// in, where per-slot overhead (not peak throughput) decides wall-clock.
 /// This is the scenario the engine's persistent worker pool exists for:
-/// with per-slot thread spawning the `sharded*` rows here pay a full
+/// with per-slot thread spawning the `sharded*` rows here paid a full
 /// spawn/join per slot; with the parked pool they pay one wake/park
-/// round-trip. The `auto`/`naive` rows are gated by `bench_regress`; the
+/// round-trip per phase. The `auto`/`naive` rows are gated by `bench_regress`; the
 /// `sharded*` rows need idle cores and are tracked but exempt (see
 /// `SHARDED_EXEMPT` in `bench_regress`).
 fn small_slot(criterion: &mut Criterion) {
@@ -226,32 +202,6 @@ fn small_slot(criterion: &mut Criterion) {
     group.bench_with_input(BenchmarkId::from_parameter("auto_timed"), &n, |b, _| {
         b.iter(|| run_slots_timed(&net, Resolver::Auto, 3, slots))
     });
-    // Pooled phase-1 collection on top of the sharded engine (forced on —
-    // n = 200 is below the default threshold). Like all sharded rows these
-    // need idle cores for wall-clock wins and are bench_regress-exempt by
-    // the `sharded*` suffix; they keep the *overhead* of the second
-    // per-slot pool dispatch honest on this container.
-    for (rname, resolver) in [
-        ("p1_sharded2", Resolver::ParallelSharded { threads: 2 }),
-        ("p1_sharded4", Resolver::ParallelSharded { threads: 4 }),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(rname), &n, |b, _| {
-            b.iter(|| run_slots_pooled_p1(&net, resolver, 3, slots))
-        });
-    }
-    // The fully pooled pipeline: pooled phase-1 collection *and* pooled
-    // phase-3 delivery forced on (n = 200 is below both default
-    // thresholds). bench_regress-exempt by the `sharded*` suffix; these
-    // rows price the third per-slot pool dispatch in the worst (fully
-    // amortized) regime.
-    for (rname, resolver) in [
-        ("p3_batched_sharded2", Resolver::ParallelSharded { threads: 2 }),
-        ("p3_batched_sharded4", Resolver::ParallelSharded { threads: 4 }),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(rname), &n, |b, _| {
-            b.iter(|| run_slots_pooled_p3(&net, resolver, 3, slots))
-        });
-    }
     group.finish();
 }
 
@@ -260,9 +210,8 @@ fn small_slot(criterion: &mut Criterion) {
 /// engine per trial (the pre-reuse runner behavior); `reuse_*` rows keep
 /// one engine and re-arm it with `Engine::reset` — what the trial runners
 /// now do per worker. The auto rows are gated by `bench_regress`; the
-/// sharded rows (per-trial pool spawn vs parked pool, pooled phase-1
-/// forced on) are exempt like every `sharded*` row but make the per-trial
-/// thread-setup cost visible.
+/// sharded rows (per-trial pool spawn vs parked pool) are exempt like every
+/// `sharded*` row but make the per-trial thread-setup cost visible.
 fn trial_reuse(criterion: &mut Criterion) {
     let n = 200usize;
     let trials = 32u64;
@@ -271,20 +220,18 @@ fn trial_reuse(criterion: &mut Criterion) {
     let channels = ChannelModel::Identical { c: 3 };
     let net = build(&topology, &channels, 13);
 
-    let fresh = |resolver: Resolver, phase1_min: usize| {
+    let fresh = |resolver: Resolver| {
         let mut total = 0u64;
         for t in 0..trials {
             let mut eng =
                 Engine::with_resolver(&net, 42 + t, resolver, |_| Chatter { c: 3, heard: 0 });
-            eng.set_phase1_pool_min_nodes(phase1_min);
             eng.run_to_completion(slots);
             total += eng.counters().deliveries;
         }
         total
     };
-    let reuse = |resolver: Resolver, phase1_min: usize| {
+    let reuse = |resolver: Resolver| {
         let mut eng = Engine::with_resolver(&net, 42, resolver, |_| Chatter { c: 3, heard: 0 });
-        eng.set_phase1_pool_min_nodes(phase1_min);
         let mut total = 0u64;
         for t in 0..trials {
             if t > 0 {
@@ -300,16 +247,16 @@ fn trial_reuse(criterion: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(trials * slots * n as u64));
     group.bench_with_input(BenchmarkId::from_parameter("fresh_auto"), &n, |b, _| {
-        b.iter(|| fresh(Resolver::Auto, usize::MAX))
+        b.iter(|| fresh(Resolver::Auto))
     });
     group.bench_with_input(BenchmarkId::from_parameter("reuse_auto"), &n, |b, _| {
-        b.iter(|| reuse(Resolver::Auto, usize::MAX))
+        b.iter(|| reuse(Resolver::Auto))
     });
     group.bench_with_input(BenchmarkId::from_parameter("fresh_sharded2"), &n, |b, _| {
-        b.iter(|| fresh(Resolver::ParallelSharded { threads: 2 }, 0))
+        b.iter(|| fresh(Resolver::ParallelSharded { threads: 2 }))
     });
     group.bench_with_input(BenchmarkId::from_parameter("reuse_sharded2"), &n, |b, _| {
-        b.iter(|| reuse(Resolver::ParallelSharded { threads: 2 }, 0))
+        b.iter(|| reuse(Resolver::ParallelSharded { threads: 2 }))
     });
     group.finish();
 }
@@ -470,27 +417,15 @@ fn dense_broadcast(criterion: &mut Criterion) {
         ("broadcaster", Resolver::BroadcasterCentric),
         ("listener", Resolver::ListenerCentric),
         ("naive", Resolver::Naive),
-        // Channel-sharded phase 2. Wall-clock gains require idle cores: a
-        // single-core runner shows the ~thread-spawn overhead instead, so
-        // these rows are reported but not gated by bench_regress (see
+        // Every phase in 2 or 4 chunks. Wall-clock gains require idle
+        // cores: a single-core runner shows the pool-wake overhead instead,
+        // so these rows are reported but not gated by bench_regress (see
         // `SHARDED_EXEMPT` there).
         ("sharded2", Resolver::ParallelSharded { threads: 2 }),
         ("sharded4", Resolver::ParallelSharded { threads: 4 }),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(rname), &n, |b, _| {
             b.iter(|| run_slots(&net, resolver, 2, slots))
-        });
-    }
-    // Fully pooled pipeline (phase-1 collection + phase-3 delivery both on
-    // the worker pool; n = 5000 clears the phase-3 default threshold, the
-    // explicit force keeps the row's meaning pinned). `sharded*`-suffix
-    // exempt in bench_regress: wall-clock wins need idle cores.
-    for (rname, resolver) in [
-        ("p3_batched_sharded2", Resolver::ParallelSharded { threads: 2 }),
-        ("p3_batched_sharded4", Resolver::ParallelSharded { threads: 4 }),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(rname), &n, |b, _| {
-            b.iter(|| run_slots_pooled_p3(&net, resolver, 2, slots))
         });
     }
     group.finish();

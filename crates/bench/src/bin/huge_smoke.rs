@@ -15,7 +15,7 @@
 //!   quadratic term blows past by an order of magnitude — this catches
 //!   transient setup spikes that a post-hoc footprint sum cannot;
 //! * the engine actually runs: slots complete and messages are
-//!   delivered under the sharded resolver with pooled phase 1.
+//!   delivered under a 4-way sharded engine (every phase in 4 chunks).
 //!
 //! Run by CI as `cargo run --release -p crn-bench --bin huge_smoke`.
 
@@ -132,11 +132,10 @@ fn main() {
     println!("huge_smoke: {slots} slots, {deliveries} deliveries");
     assert!(deliveries > 0, "the engine must deliver messages at this density");
 
-    // Re-assert *after* the run: pooled phase-1 collection and pooled
-    // phase-3 delivery (both engaged here — n = 10⁵ on a 4-way sharded
-    // resolver) allocate their shard scratch lazily on first use, so only
-    // a post-run measurement proves that scratch is O(n + m) too and that
-    // no hidden O(n·threads) buffer appeared.
+    // Re-assert *after* the run: the per-chunk scratch of all three
+    // phases (4 chunks each here) is allocated lazily on first use, so only
+    // a post-run measurement proves it is O(n + m) too and that no hidden
+    // O(n·threads) buffer appeared.
     let engine_bytes_after = eng.internal_memory_bytes();
     println!(
         "huge_smoke: engine internal state after run {:.1} MiB",
@@ -145,7 +144,7 @@ fn main() {
     assert!(
         engine_bytes_after < STRUCTURE_LIMIT,
         "post-run engine state {engine_bytes_after} bytes exceeds the linear budget \
-         {STRUCTURE_LIMIT}: pooled collect/deliver scratch is no longer O(n + m)"
+         {STRUCTURE_LIMIT}: per-chunk scratch is no longer O(n + m)"
     );
 
     match crn_bench::peak_rss_bytes() {

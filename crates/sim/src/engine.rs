@@ -11,32 +11,30 @@
 //!    populations are counted with epoch-stamped first-touch detection
 //!    (nothing is ever bulk-cleared), and a counting-sort scatter produces
 //!    contiguous per-channel broadcaster and listener buckets (CSR layout,
-//!    ascending node order). On a [`Resolver::ParallelSharded`] engine with
-//!    `n ≥` [`Engine::phase1_pool_min_nodes`], collection itself runs on
-//!    the worker pool in contiguous node-range chunks: each worker builds
-//!    chunk-local counts and buckets, and the caller merges them by
-//!    prefix-sum — first-touch channel order and ascending-node bucket
-//!    order are preserved exactly, so the pooled path is bit-identical to
-//!    the sequential one (see `collect_pooled`).
+//!    ascending node order).
 //! 2. **Per-channel resolution** — for each touched channel, classify every
 //!    listener: it hears a message iff **exactly one** of its neighbors
 //!    broadcast on the listened channel. Channels are independent within a
-//!    slot, so [`Resolver::ParallelSharded`] partitions the touched channels
-//!    across the calling thread plus a persistent [`WorkerPool`] of parked
-//!    workers (per-shard scratch, deterministic cost-balanced partition,
-//!    one atomic-generation wake per slot — see [`crate::pool`]); every
-//!    other [`Resolver`] runs the same per-channel strategies sequentially.
-//!
+//!    slot.
 //! 3. **Batched feedback delivery** — one counting sweep over the packed
 //!    outcome array folds the per-outcome counters, then the bulk
 //!    [`Protocol::feedback_batch`] entry point (scalar
 //!    [`Protocol::feedback`] per node by default) hands each protocol its
 //!    outcome, with heard messages passed by reference out of the
-//!    broadcasters' action buffer (the engine never clones a payload). On a
-//!    [`Resolver::ParallelSharded`] engine with `n ≥`
-//!    [`Engine::phase3_pool_min_nodes`], delivery runs on the worker pool
-//!    in contiguous node-range chunks, each folding its own counter delta;
-//!    the deltas merge in chunk order to exactly the sequential totals.
+//!    broadcasters' action buffer (the engine never clones a payload).
+//!
+//! Each phase is one function over chunks, and one rule sizes every phase:
+//! `min(threads, items)` chunks, where the items are nodes in phases 1 and
+//! 3 and touched channels in phase 2, and `threads` is the
+//! [`Resolver::ParallelSharded`] count (1 for every other resolver). One
+//! chunk runs inline on the calling thread and writes the slot's table,
+//! outcomes and counters directly. Several run as chunk 0 on the caller
+//! plus one per worker of a persistent [`WorkerPool`] (parked between
+//! slots, one atomic-generation wake per phase — see [`crate::pool`]), and
+//! a deterministic merge in chunk order reproduces the one-chunk result
+//! bit for bit: contiguous node ranges keep first-touch channel order and
+//! ascending-node bucket order, resolution is deterministic per channel,
+//! and per-chunk counter deltas are sums.
 //!
 //! This is precisely the communication model of paper §3 (no collision
 //! detection, collision ≡ silence, broadcasters hear only themselves).
@@ -71,7 +69,7 @@
 //!   its scattered writes) against the summed per-listener probe bound
 //!   `Σ_l min(B, deg(l), n/64)` and picks the cheaper side for each channel
 //!   independently. [`Resolver::ParallelSharded`] applies the same
-//!   heuristic inside each shard.
+//!   heuristic inside each chunk.
 //!
 //! All strategies — including the sharded one at any thread count — produce
 //! bit-identical counters, feedbacks, and outputs; `Resolver::Naive` keeps
@@ -94,10 +92,9 @@
 //! renumbering is observationally invisible (proven bit-identically by the
 //! permutation differential in `tests/`). Per-node outcome state is a
 //! packed `u32` array rather than an enum array, and when `c` is small the
-//! sequential and sharded `Auto` paths fuse the listener pass across a
-//! slot's channels: one marking sweep tags every broadcaster with its
-//! channel, and each listener walk checks tags instead of rebuilding a
-//! per-channel broadcaster bit set.
+//! `Auto` strategy fuses the listener pass across a chunk's channels: one
+//! marking sweep tags every broadcaster with its channel, and each listener
+//! walk checks tags instead of rebuilding a per-channel broadcaster bit set.
 
 use crate::bitset::{BitSet, Intersection};
 use crate::ids::{GlobalChannel, LocalChannel, NodeId, Slot};
@@ -110,35 +107,8 @@ use crate::rng::{channel_slot_rng, stream_rng};
 use crate::spectrum::{SpectrumDynamics, SpectrumState};
 use rand::rngs::SmallRng;
 
-/// Default node-count threshold at or above which a
-/// [`Resolver::ParallelSharded`] engine also routes phase-1 action
-/// collection through its worker pool. Below it the extra wake/merge
-/// round-trip costs more than the parallelized collection saves (the
-/// per-slot wake is ~2.5 µs on the bench container, per-node collection a
-/// few tens of ns). Tunable per engine via
-/// [`Engine::set_phase1_pool_min_nodes`]; purely a performance knob —
-/// pooled and sequential collection are bit-identical.
-pub const DEFAULT_PHASE1_POOL_MIN_NODES: usize = 2048;
-
-/// Sharded slots of each phase-1 routing (sequential first, then pooled)
-/// the auto-tuner measures before locking the faster one; see
-/// [`Engine::set_phase1_pool_autotune`].
-const PHASE1_TUNE_SLOTS: u32 = 3;
-
-/// Default node-count threshold at or above which a
-/// [`Resolver::ParallelSharded`] engine routes phase-3 feedback delivery
-/// through its worker pool in contiguous node-range chunks. The
-/// cost-benefit mirrors phase 1 (one pool wake ~2.5 µs vs a few tens of
-/// ns per delivered node), so the default matches
-/// [`DEFAULT_PHASE1_POOL_MIN_NODES`]. Tunable per engine via
-/// [`Engine::set_phase3_pool_min_nodes`]; purely a performance knob —
-/// pooled and sequential delivery are bit-identical by construction
-/// (feedback order across nodes is independent, and the per-chunk counter
-/// deltas are merged deterministically in chunk order).
-pub const DEFAULT_PHASE3_POOL_MIN_NODES: usize = 2048;
-
-/// Channels-per-node bound at or below which the `Auto` strategies may
-/// fuse the listener pass across a slot's (or shard's) touched channels;
+/// Channels-per-node bound at or below which the `Auto` strategy may fuse
+/// the listener pass across a chunk's touched channels;
 /// see [`mark_broadcast_channels`].
 const FUSED_MAX_C: usize = 8;
 
@@ -235,17 +205,18 @@ pub enum Resolver {
     /// every broadcaster on its channel with a per-pair adjacency test.
     /// Kept for differential testing and as the benchmark baseline.
     Naive,
-    /// Channel-sharded parallel resolution: the touched channels of a slot
-    /// are partitioned across the calling thread plus `threads − 1`
-    /// persistent pool workers (channels are independent within a slot;
-    /// each shard resolves its channels with the [`Resolver::Auto`]
-    /// heuristic and its own scratch). The engine-owned [`WorkerPool`] is
-    /// spawned on the first sharded slot, parks between slots, and is torn
-    /// down on drop — per-slot cost is a generation-counter wake, not a
-    /// thread spawn. Bit-identical to the sequential strategies at any
-    /// thread count; `threads ≤ 1` falls back to sequential `Auto`.
+    /// `sharded(k)` chunks every phase `k` ways: phases 1 and 3 into
+    /// `min(k, n)` contiguous node ranges, phase 2 into `min(k, touched)`
+    /// cost-balanced channel ranges, each resolved with the
+    /// [`Resolver::Auto`] heuristic. Chunk 0 runs on the calling thread,
+    /// the others on an engine-owned [`WorkerPool`] of `k − 1` workers that
+    /// is spawned on first use, parks between phases, and is torn down on
+    /// drop. Every pooled phase pays one worker wake, so this is meant for
+    /// huge runs on idle cores; small networks run faster on `Auto`.
+    /// Bit-identical to the sequential strategies at any thread count;
+    /// `k ≤ 1` is one chunk, i.e. sequential `Auto`.
     ParallelSharded {
-        /// Worker threads for phase-2 resolution.
+        /// Chunks per phase (and threads, counting the caller).
         threads: usize,
     },
 }
@@ -262,6 +233,15 @@ impl Resolver {
         match self {
             Resolver::ParallelSharded { .. } => Resolver::Auto,
             r => r,
+        }
+    }
+
+    /// The most chunks any phase is split into: the sharded thread count,
+    /// 1 for every sequential strategy.
+    fn threads(self) -> usize {
+        match self {
+            Resolver::ParallelSharded { threads } => threads.max(1),
+            _ => 1,
         }
     }
 }
@@ -324,15 +304,10 @@ pub struct Engine<'net, P: Protocol> {
     /// Primary-user spectrum dynamics, if installed ([`Engine::set_spectrum`]).
     /// `None` ≡ [`SpectrumDynamics::Static`]: every channel idle forever.
     spectrum: Option<SpectrumState>,
-    /// Per-node packed plan for the current slot: a channel-bucket index
-    /// with [`BCAST_BIT`] for broadcasters, or [`SLEEPING`]. Sequential
-    /// collection stores *global* touched-channel indices here; pooled
-    /// collection stores *chunk-local* ones (each chunk scatters into its
-    /// own local buckets before the merge).
+    /// Per-node packed plan for the current slot: an index into the
+    /// node's chunk-local touched list, with [`BCAST_BIT`] for
+    /// broadcasters, or [`SLEEPING`].
     node_plan: Vec<u32>,
-    /// This slot's actions in node order, exactly as the protocols returned
-    /// them. Heard messages are delivered by reference out of this buffer.
-    actions: Vec<Action<P::Message>>,
     /// Per-node packed resolution results for the current slot (external
     /// node order; see [`OC_MIN_SENTINEL`]).
     outcomes: Vec<u32>,
@@ -344,55 +319,29 @@ pub struct Engine<'net, P: Protocol> {
     int2ext: Vec<u32>,
     /// Internal-id adjacency view phase 2 resolves against.
     ig: IntGraph,
-    /// Per-worker phase-1 state for pooled collection; `[0]` belongs to the
-    /// calling thread. Allocated lazily on the first pooled slot.
-    collect: Vec<CollectShard<P::Message>>,
-    /// Node-count threshold for routing phase-1 collection through the
-    /// pool; see [`DEFAULT_PHASE1_POOL_MIN_NODES`]. Ignored while the
-    /// auto-tuner is measuring, overwritten when it decides.
-    phase1_min_nodes: usize,
-    /// In-flight phase-1 auto-tune measurement; `None` once decided or when
-    /// tuning is off ([`Engine::set_phase1_pool_min_nodes`] pins the
-    /// threshold and disables it).
-    phase1_tune: Option<Phase1Tune>,
-    /// Node-count threshold for routing phase-3 feedback delivery through
-    /// the pool; see [`DEFAULT_PHASE3_POOL_MIN_NODES`].
-    phase3_min_nodes: usize,
-    /// Per-chunk counter deltas for pooled phase-3 delivery, merged into
-    /// [`Counters`] in chunk order after the join. O(threads) and
-    /// long-lived across slots (and across [`Engine::reset`]); allocated
-    /// lazily on the first pooled delivery.
-    deliver: Vec<DeliverDelta>,
-    // --- flat channel-bucketed action table, rebuilt each slot ---
-    /// Dense channels touched this slot, in first-touch order.
-    touched: Vec<u32>,
-    /// Per dense channel: stamp marking it touched in the current slot.
-    chan_epoch: Vec<u64>,
-    /// Per dense channel: its index into `touched` (valid iff stamped).
-    chan_slot: Vec<u32>,
-    slot_epoch: u64,
-    /// Per touched channel: population counts, then scatter cursors.
-    b_cnt: Vec<u32>,
-    l_cnt: Vec<u32>,
-    /// Per touched channel: CSR offsets into the flat node buckets.
-    b_off: Vec<u32>,
-    l_off: Vec<u32>,
-    /// Flat buckets: broadcasters/listeners grouped by touched channel, in
-    /// ascending node order within each group.
-    bcast_nodes: Vec<u32>,
-    listen_nodes: Vec<u32>,
-    /// Per-shard resolution state (epoch-stamped scratch + outcome buffer),
-    /// long-lived across slots: `[0]` serves sequential resolution and the
-    /// caller-thread shard, `[1..]` belong to the pool workers.
+    /// The slot's channel-bucketed action table. A one-chunk phase 1
+    /// writes it directly; a multi-chunk one merges `chunk_tables` into it.
+    /// Heard messages are delivered by reference out of its action buffer.
+    table: Table<P::Message>,
+    /// Per-chunk tables of a multi-chunk phase 1; empty until a slot runs
+    /// with more than one chunk.
+    chunk_tables: Vec<Table<P::Message>>,
+    /// Per-chunk phase-1 stamps and counts; `[0]` belongs to the calling
+    /// thread and doubles as the merge's global stamp table.
+    stamps: Vec<Stamps>,
+    /// Per-chunk phase-2 scratch and outcome buffers; `[0]` belongs to the
+    /// calling thread.
     shards: Vec<ShardSlot>,
-    /// Per-channel cost proxies and group bounds for the sharded partition,
-    /// persisted across slots to avoid reallocation.
+    /// Per-channel cost proxies and chunk bounds of a multi-chunk phase 2,
+    /// kept across slots to avoid reallocation.
     shard_weights: Vec<u64>,
     shard_bounds: Vec<(usize, usize)>,
-    /// Persistent phase-2 worker pool. Spawned lazily on the first sharded
-    /// slot (sequential engines never pay for it), kept parked between
-    /// slots, re-sized if the resolver's thread count changes, and torn
-    /// down when the engine drops.
+    /// Per-chunk counter deltas of a multi-chunk phase 3, folded into
+    /// [`Counters`] in chunk order.
+    deliver: Vec<DeliverDelta>,
+    /// Worker pool of a multi-chunk engine: `threads − 1` parked workers,
+    /// spawned on the first multi-chunk phase (one-chunk engines never pay
+    /// for it), re-sized if the thread count changes, torn down on drop.
     pool: Option<WorkerPool>,
     /// Cumulative per-phase wall-clock totals ([`Engine::set_phase_timing`]).
     /// `None` (the default) records nothing; `Some` pays ~5 monotonic clock
@@ -405,31 +354,18 @@ pub struct Engine<'net, P: Protocol> {
 /// and the engine; returning `true` stops the run (ground-truth completion).
 pub type Probe<'a, 'b, 'net, P> = (u64, &'a mut (dyn FnMut(u64, &Engine<'net, P>) -> bool + 'b));
 
-/// Running phase-1 auto-tune state: wall-clock totals for the first
-/// [`PHASE1_TUNE_SLOTS`] sharded slots collected sequentially and the next
-/// [`PHASE1_TUNE_SLOTS`] collected through the pool. Routing choice is a
-/// pure performance knob (both paths are bit-identical), so measuring live
-/// cannot change results.
-#[derive(Debug, Clone, Copy, Default)]
-struct Phase1Tune {
-    seq_ns: u128,
-    pooled_ns: u128,
-    measured: u32,
-}
-
 /// Cumulative per-phase wall-clock totals for [`Engine::step`], split by
-/// routing (sequential vs pooled/sharded) where a phase has both paths.
-/// Off by default; enabled with [`Engine::set_phase_timing`] and read with
-/// [`Engine::phase_timings`].
+/// whether a phase ran as one chunk or as more than one (see the module
+/// docs for the chunking rule). Off by default; enabled with
+/// [`Engine::set_phase_timing`] and read with [`Engine::phase_timings`].
 ///
 /// **Observationally invisible by construction:** the timers only *read*
 /// the monotonic clock and accumulate into this struct — no engine control
 /// flow, counter, RNG stream, or protocol callback depends on a measured
-/// value. (Contrast the phase-1 auto-tuner, which does route on timing —
-/// but only between two bit-identical paths.) The guarantee "timers on vs
-/// off is bit-identical" is enforced by the lockstep differential in
-/// `tests/tests/metrics_equiv.rs` across all resolvers, thread counts, and
-/// pooling settings.
+/// value, and the chunk count of every phase is a pure function of the
+/// resolver and the slot's items. The guarantee "timers on vs off is
+/// bit-identical" is enforced by the lockstep differential in
+/// `tests/tests/metrics_equiv.rs` across all resolvers and thread counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Slots measured (== slots stepped while timing was enabled).
@@ -437,38 +373,38 @@ pub struct PhaseTimings {
     /// Phase 0: spectrum/PU process advance (zero when no dynamics are
     /// installed — the phase is skipped entirely).
     pub spectrum_ns: u64,
-    /// Phase 1, sequential collection path.
+    /// Phase 1 in slots where it ran as one chunk.
     pub collect_sequential_ns: u64,
-    /// Phase 1, pooled collection path.
+    /// Phase 1 in slots where it ran as >1 chunk.
     pub collect_pooled_ns: u64,
-    /// Slots that routed phase 1 through the pool.
+    /// Slots whose phase 1 ran as >1 chunk.
     pub collect_pooled_slots: u64,
-    /// Phase 2, sequential resolution path.
+    /// Phase 2 in slots where it ran as one chunk.
     pub resolve_sequential_ns: u64,
-    /// Phase 2, sharded resolution path.
+    /// Phase 2 in slots where it ran as >1 chunk.
     pub resolve_sharded_ns: u64,
-    /// Slots that resolved phase 2 sharded.
+    /// Slots whose phase 2 ran as >1 chunk.
     pub resolve_sharded_slots: u64,
-    /// Phase 3, sequential delivery path.
+    /// Phase 3 in slots where it ran as one chunk.
     pub deliver_sequential_ns: u64,
-    /// Phase 3, pooled delivery path.
+    /// Phase 3 in slots where it ran as >1 chunk.
     pub deliver_pooled_ns: u64,
-    /// Slots that delivered phase 3 through the pool.
+    /// Slots whose phase 3 ran as >1 chunk.
     pub deliver_pooled_slots: u64,
 }
 
 impl PhaseTimings {
-    /// Phase-1 total across both routings.
+    /// Phase-1 total, one chunk or more.
     pub fn collect_ns(&self) -> u64 {
         self.collect_sequential_ns + self.collect_pooled_ns
     }
 
-    /// Phase-2 total across both routings.
+    /// Phase-2 total, one chunk or more.
     pub fn resolve_ns(&self) -> u64 {
         self.resolve_sequential_ns + self.resolve_sharded_ns
     }
 
-    /// Phase-3 total across both routings.
+    /// Phase-3 total, one chunk or more.
     pub fn deliver_ns(&self) -> u64 {
         self.deliver_sequential_ns + self.deliver_pooled_ns
     }
@@ -476,6 +412,17 @@ impl PhaseTimings {
     /// Sum over all four phases.
     pub fn total_ns(&self) -> u64 {
         self.spectrum_ns + self.collect_ns() + self.resolve_ns() + self.deliver_ns()
+    }
+
+    /// Books `ns` of one phase to its one-chunk total or, with `chunks > 1`,
+    /// to its multi-chunk total and slot count.
+    fn book(ns: u64, chunks: usize, one: &mut u64, many: &mut u64, many_slots: &mut u64) {
+        if chunks > 1 {
+            *many += ns;
+            *many_slots += 1;
+        } else {
+            *one += ns;
+        }
     }
 }
 
@@ -738,18 +685,22 @@ impl Scratch {
             bcast_bits: BitSet::new(n),
         }
     }
+
+    fn memory_bytes(&self) -> usize {
+        self.mark_epoch.capacity() * 8
+            + (self.hit_count.capacity() + self.hit_src.capacity()) * 4
+            + self.bcast_bits.words().len() * 8
+    }
 }
 
-/// One shard's long-lived resolution state: the epoch-stamped [`Scratch`]
-/// plus the outcome buffer the shard resolves into (listener-position
-/// order). Shard 0 belongs to the calling thread (and doubles as the
-/// sequential engine's scratch); shards `1..` are handed to pool workers —
-/// each worker mutates only its own slot, which is what makes the
-/// fork-join hand-out race-free.
+/// One phase-2 chunk's long-lived resolution state: the epoch-stamped
+/// [`Scratch`] plus, in a multi-chunk slot, the outcome buffer the chunk
+/// resolves into (listener-position order, internal `Heard` ids; scattered
+/// into the engine's outcomes after the join). Chunk 0 runs on the calling
+/// thread; chunks `1..` are handed to pool workers, each mutating only its
+/// own slot.
 struct ShardSlot {
     scratch: Scratch,
-    /// Packed outcomes in listener-position order (internal `Heard` ids;
-    /// converted to external at the scatter).
     out: Vec<u32>,
 }
 
@@ -759,74 +710,134 @@ impl ShardSlot {
     }
 }
 
-/// One worker's long-lived phase-1 state for pooled action collection: the
-/// chunk's actions (in node order), a chunk-local epoch-stamped channel
-/// table mirroring the engine's global one, per-channel counts and CSR
-/// offsets, and chunk-local broadcaster/listener buckets that the caller
-/// merges into the global buckets by prefix-sum after the join.
-struct CollectShard<M> {
-    /// The chunk's actions, appended to `Engine::actions` after the join.
-    out: Vec<Action<M>>,
-    /// Chunk-local touched channels, in chunk-first-touch order.
+/// A node range's channel-bucketed action table: the range's actions in
+/// node order, the dense channels it touched in first-touch order, and
+/// its broadcasters and listeners grouped by touched channel (CSR layout,
+/// internal ids, ascending node order within each group).
+struct Table<M> {
+    actions: Vec<Action<M>>,
     touched: Vec<u32>,
-    /// Per dense channel: stamp marking it touched in this chunk's current
-    /// slot (universe-sized, like the engine's global table).
-    ch_epoch: Vec<u64>,
-    /// Per dense channel: its index into the local `touched` list.
-    ch_slot: Vec<u32>,
-    /// This shard's private slot epoch (monotonic per shard).
-    epoch: u64,
-    /// Per local touched channel: population counts, then scatter cursors.
-    b_cnt: Vec<u32>,
-    l_cnt: Vec<u32>,
-    /// Per local touched channel: CSR offsets into the local buckets.
+    /// Per touched channel: CSR offsets into the buckets (`touched + 1`
+    /// entries).
     b_off: Vec<u32>,
     l_off: Vec<u32>,
-    /// Chunk-local buckets, ascending node order within each channel group.
     b_nodes: Vec<u32>,
     l_nodes: Vec<u32>,
-    /// The chunk's action tallies, summed into [`Counters`] after the join.
-    nb: u64,
-    nl: u64,
-    ns: u64,
 }
 
-impl<M> CollectShard<M> {
-    fn new(universe: usize) -> CollectShard<M> {
-        CollectShard {
-            out: Vec::new(),
+impl<M> Table<M> {
+    fn new() -> Table<M> {
+        Table {
+            actions: Vec::new(),
             touched: Vec::new(),
-            ch_epoch: vec![0; universe],
-            ch_slot: vec![0; universe],
-            epoch: 0,
-            b_cnt: Vec::new(),
-            l_cnt: Vec::new(),
-            b_off: Vec::new(),
-            l_off: Vec::new(),
+            b_off: vec![0],
+            l_off: vec![0],
             b_nodes: Vec::new(),
             l_nodes: Vec::new(),
-            nb: 0,
-            nl: 0,
-            ns: 0,
         }
     }
 
-    /// Heap bytes of this shard's scratch, for the engine's `O(n + m)`
-    /// memory accounting (`out` is reported by capacity × element size —
-    /// `Action` payloads may own heap of their own, which is the
-    /// protocol's memory, not the engine's).
+    /// Prefix-sums per-touched-channel counts into the CSR offsets, sizes
+    /// the buckets, and turns the counts into scatter cursors.
+    fn lay_out(&mut self, b_cnt: &mut [u32], l_cnt: &mut [u32]) {
+        let t = self.touched.len();
+        self.b_off.clear();
+        self.l_off.clear();
+        self.b_off.push(0);
+        self.l_off.push(0);
+        let (mut tb, mut tl) = (0u32, 0u32);
+        for ti in 0..t {
+            tb += b_cnt[ti];
+            tl += l_cnt[ti];
+            self.b_off.push(tb);
+            self.l_off.push(tl);
+        }
+        self.b_nodes.resize(tb as usize, 0);
+        self.l_nodes.resize(tl as usize, 0);
+        b_cnt.copy_from_slice(&self.b_off[..t]);
+        l_cnt.copy_from_slice(&self.l_off[..t]);
+    }
+
+    #[inline]
+    fn broadcasters(&self, ti: usize) -> &[u32] {
+        &self.b_nodes[self.b_off[ti] as usize..self.b_off[ti + 1] as usize]
+    }
+
+    #[inline]
+    fn listeners(&self, ti: usize) -> &[u32] {
+        &self.l_nodes[self.l_off[ti] as usize..self.l_off[ti + 1] as usize]
+    }
+
+    /// Heap bytes (`actions` by capacity × element size — payloads that own
+    /// heap of their own are the protocol's memory, not the engine's).
     fn memory_bytes(&self) -> usize {
-        self.out.capacity() * std::mem::size_of::<Action<M>>()
-            + self.ch_epoch.capacity() * std::mem::size_of::<u64>()
+        self.actions.capacity() * std::mem::size_of::<Action<M>>()
             + (self.touched.capacity()
-                + self.ch_slot.capacity()
-                + self.b_cnt.capacity()
-                + self.l_cnt.capacity()
                 + self.b_off.capacity()
                 + self.l_off.capacity()
                 + self.b_nodes.capacity()
                 + self.l_nodes.capacity())
-                * std::mem::size_of::<u32>()
+                * 4
+    }
+}
+
+/// One phase-1 chunk's bookkeeping: a universe-sized first-touch stamp
+/// table (nothing is ever bulk-cleared; a stamp from an older epoch reads
+/// as untouched), per-touched-channel counts that become scatter cursors,
+/// and the chunk's action tallies.
+struct Stamps {
+    epoch: u64,
+    /// Per dense channel: the epoch that last touched it.
+    ch_epoch: Vec<u64>,
+    /// Per dense channel: its index into the touched list (valid iff
+    /// stamped with the current epoch).
+    ch_slot: Vec<u32>,
+    b_cnt: Vec<u32>,
+    l_cnt: Vec<u32>,
+    /// Broadcasts, listens and sleeps of the chunk's last slot.
+    tally: [u64; 3],
+}
+
+impl Stamps {
+    fn new(universe: usize) -> Stamps {
+        Stamps {
+            epoch: 0,
+            ch_epoch: vec![0; universe],
+            ch_slot: vec![0; universe],
+            b_cnt: Vec::new(),
+            l_cnt: Vec::new(),
+            tally: [0; 3],
+        }
+    }
+
+    /// Starts a fresh touched list: a new epoch and no counts.
+    fn begin(&mut self) {
+        self.epoch += 1;
+        self.b_cnt.clear();
+        self.l_cnt.clear();
+    }
+
+    /// Registers dense channel `ch` as touched (idempotent per epoch),
+    /// appending first touches to `touched`, and returns its index there.
+    #[inline]
+    fn touch(&mut self, touched: &mut Vec<u32>, ch: usize) -> usize {
+        if self.ch_epoch[ch] != self.epoch {
+            self.ch_epoch[ch] = self.epoch;
+            debug_assert!(
+                (touched.len() as u32) < BCAST_BIT,
+                "touched index overflows the role bit"
+            );
+            self.ch_slot[ch] = touched.len() as u32;
+            touched.push(ch as u32);
+            self.b_cnt.push(0);
+            self.l_cnt.push(0);
+        }
+        self.ch_slot[ch] as usize
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.ch_epoch.capacity() * 8
+            + (self.ch_slot.capacity() + self.b_cnt.capacity() + self.l_cnt.capacity()) * 4
     }
 }
 
@@ -844,40 +855,12 @@ fn translate_label(xlate: &[u32], c: usize, v: usize, channel: LocalChannel) -> 
     xlate[v * c + l] as usize
 }
 
-/// Registers dense channel `ch` as touched (idempotent per `epoch`) in the
-/// given touched-list/stamp/count structures — shared by the engine's
-/// global table (sequential collection and the pooled merge) and each
-/// chunk's local table — and returns its index into `touched`.
-#[inline]
-fn touch_channel(
-    touched: &mut Vec<u32>,
-    ch_epoch: &mut [u64],
-    ch_slot: &mut [u32],
-    b_cnt: &mut Vec<u32>,
-    l_cnt: &mut Vec<u32>,
-    ch: usize,
-    epoch: u64,
-) -> u32 {
-    if ch_epoch[ch] == epoch {
-        ch_slot[ch]
-    } else {
-        ch_epoch[ch] = epoch;
-        let ti = touched.len() as u32;
-        debug_assert!(ti < BCAST_BIT, "touched-channel index overflows the role bit");
-        ch_slot[ch] = ti;
-        touched.push(ch as u32);
-        b_cnt.push(0);
-        l_cnt.push(0);
-        ti
-    }
-}
-
-/// Phase-1 work for one contiguous node chunk `[base, base + len)`:
+/// Phase-1 body for one contiguous node chunk `[base, base + len)`:
 /// collect the chunk's actions through [`Protocol::act_batch`], translate
-/// and count them into the shard's local channel table, and counting-sort
-/// the chunk's nodes into local per-channel buckets. Identical on the
+/// and count them against the chunk's stamps, and counting-sort the
+/// chunk's nodes into `table`'s per-channel buckets. Identical on the
 /// calling thread and on a pool worker; touches only the chunk's disjoint
-/// slices plus the shard's private state.
+/// slices plus its private table and stamps.
 #[allow(clippy::too_many_arguments)]
 fn collect_chunk<P: Protocol>(
     slot: Slot,
@@ -889,100 +872,144 @@ fn collect_chunk<P: Protocol>(
     rngs: &mut [SmallRng],
     node_plan: &mut [u32],
     outcomes: &mut [u32],
-    shard: &mut CollectShard<P::Message>,
+    table: &mut Table<P::Message>,
+    st: &mut Stamps,
 ) {
-    shard.out.clear();
-    shard.touched.clear();
-    shard.b_cnt.clear();
-    shard.l_cnt.clear();
-    shard.epoch += 1;
-    let epoch = shard.epoch;
+    table.actions.clear();
+    table.touched.clear();
+    st.begin();
 
     let mut ctx = BatchCtx::new(slot, rngs);
-    P::act_batch(protos, &mut ctx, &mut shard.out);
-    assert_eq!(shard.out.len(), protos.len(), "act_batch must emit one action per node");
+    P::act_batch(protos, &mut ctx, &mut table.actions);
+    assert_eq!(table.actions.len(), protos.len(), "act_batch must emit one action per node");
 
-    let (mut nb, mut nl, mut ns) = (0u64, 0u64, 0u64);
-    for (i, action) in shard.out.iter().enumerate() {
-        let v = base + i;
+    let mut tally = [0u64; 3];
+    for (i, action) in table.actions.iter().enumerate() {
         let (packed, outcome) = match action {
             Action::Broadcast { channel, .. } => {
-                nb += 1;
-                let ch = translate_label(xlate, c, v, *channel);
-                let ti = touch_channel(
-                    &mut shard.touched,
-                    &mut shard.ch_epoch,
-                    &mut shard.ch_slot,
-                    &mut shard.b_cnt,
-                    &mut shard.l_cnt,
-                    ch,
-                    epoch,
-                );
-                shard.b_cnt[ti as usize] += 1;
-                (ti | BCAST_BIT, OC_SENT)
+                tally[0] += 1;
+                let ti =
+                    st.touch(&mut table.touched, translate_label(xlate, c, base + i, *channel));
+                st.b_cnt[ti] += 1;
+                (ti as u32 | BCAST_BIT, OC_SENT)
             }
             Action::Listen { channel } => {
-                nl += 1;
-                let ch = translate_label(xlate, c, v, *channel);
-                let ti = touch_channel(
-                    &mut shard.touched,
-                    &mut shard.ch_epoch,
-                    &mut shard.ch_slot,
-                    &mut shard.b_cnt,
-                    &mut shard.l_cnt,
-                    ch,
-                    epoch,
-                );
-                shard.l_cnt[ti as usize] += 1;
-                (ti, OC_IDLE)
+                tally[1] += 1;
+                let ti =
+                    st.touch(&mut table.touched, translate_label(xlate, c, base + i, *channel));
+                st.l_cnt[ti] += 1;
+                (ti as u32, OC_IDLE)
             }
             Action::Sleep => {
-                ns += 1;
+                tally[2] += 1;
                 (SLEEPING, OC_SLEPT)
             }
         };
         node_plan[i] = packed;
         outcomes[i] = outcome;
     }
-    shard.nb = nb;
-    shard.nl = nl;
-    shard.ns = ns;
+    st.tally = tally;
 
-    // Local prefix sums + counting-sort scatter into the local buckets
-    // (ascending node order within each group by construction).
-    let t = shard.touched.len();
-    shard.b_off.clear();
-    shard.l_off.clear();
-    shard.b_off.push(0);
-    shard.l_off.push(0);
-    let (mut tb, mut tl) = (0u32, 0u32);
-    for ti in 0..t {
-        tb += shard.b_cnt[ti];
-        tl += shard.l_cnt[ti];
-        shard.b_off.push(tb);
-        shard.l_off.push(tl);
-    }
-    shard.b_nodes.resize(tb as usize, 0);
-    shard.l_nodes.resize(tl as usize, 0);
-    shard.b_cnt.copy_from_slice(&shard.b_off[..t]);
-    shard.l_cnt.copy_from_slice(&shard.l_off[..t]);
+    // Counting-sort scatter into the buckets: ascending node order within
+    // each group by construction. Buckets hold *internal* ids.
+    table.lay_out(&mut st.b_cnt, &mut st.l_cnt);
     for (i, &packed) in node_plan.iter().enumerate() {
         if packed == SLEEPING {
             continue;
         }
-        // Buckets hold *internal* ids (in ascending external order — the
-        // same order the sequential scatter produces, so pooled collection
-        // stays bit-identical to sequential).
         let v = ext2int[base + i];
         if packed & BCAST_BIT != 0 {
             let ti = (packed & !BCAST_BIT) as usize;
-            shard.b_nodes[shard.b_cnt[ti] as usize] = v;
-            shard.b_cnt[ti] += 1;
+            table.b_nodes[st.b_cnt[ti] as usize] = v;
+            st.b_cnt[ti] += 1;
         } else {
             let ti = packed as usize;
-            shard.l_nodes[shard.l_cnt[ti] as usize] = v;
-            shard.l_cnt[ti] += 1;
+            table.l_nodes[st.l_cnt[ti] as usize] = v;
+            st.l_cnt[ti] += 1;
         }
+    }
+}
+
+/// Merges the tables of a multi-chunk phase 1 into `table`, using `st`
+/// (chunk 0's stamps, free once the chunks have joined) as the global
+/// first-touch table:
+///
+/// * the global touched list is rebuilt by walking the chunk-local lists in
+///   chunk order and keeping first occurrences — exactly the one-chunk
+///   first-touch order, because chunks cover ascending node ranges and
+///   each local list is in node order;
+/// * per-channel counts are summed and laid out, and each chunk's bucket
+///   segments are copied in chunk order — ascending chunk order × ascending
+///   node order within a chunk = ascending node order within every bucket,
+///   as one chunk produces;
+/// * the chunk actions are appended in node order.
+fn merge_tables<M>(table: &mut Table<M>, chunks: &mut [Table<M>], st: &mut Stamps) {
+    table.actions.clear();
+    table.touched.clear();
+    st.begin();
+    for part in chunks.iter() {
+        for (lti, &ch) in part.touched.iter().enumerate() {
+            let ti = st.touch(&mut table.touched, ch as usize);
+            st.b_cnt[ti] += part.b_off[lti + 1] - part.b_off[lti];
+            st.l_cnt[ti] += part.l_off[lti + 1] - part.l_off[lti];
+        }
+    }
+    table.lay_out(&mut st.b_cnt, &mut st.l_cnt);
+    for part in chunks.iter_mut() {
+        for (lti, &ch) in part.touched.iter().enumerate() {
+            let ti = st.ch_slot[ch as usize] as usize;
+            let src = part.broadcasters(lti);
+            let cur = st.b_cnt[ti] as usize;
+            table.b_nodes[cur..cur + src.len()].copy_from_slice(src);
+            st.b_cnt[ti] += src.len() as u32;
+            let src = part.listeners(lti);
+            let cur = st.l_cnt[ti] as usize;
+            table.l_nodes[cur..cur + src.len()].copy_from_slice(src);
+            st.l_cnt[ti] += src.len() as u32;
+        }
+        table.actions.append(&mut part.actions);
+    }
+}
+
+/// Contiguous node chunks for phases 1 and 3: `(chunk length, chunk
+/// count)` for `min(threads, n)` chunks of `⌈n / chunks⌉` nodes, the last
+/// possibly shorter (so the count can come out below `min(threads, n)`).
+/// One chunk is the whole range, computed without a division: the
+/// one-chunk path runs every slot of every sequential engine.
+fn node_chunks(n: usize, threads: usize) -> (usize, usize) {
+    let chunks = threads.min(n);
+    if chunks <= 1 {
+        return (n, 1);
+    }
+    let len = n.div_ceil(chunks);
+    (len, n.div_ceil(len))
+}
+
+/// Runs `task` on every chunk of a phase with several: chunk 0 on the
+/// calling thread plus one per worker of `pool`, which is (re)built with
+/// `threads − 1` workers if it does not have them yet. (A phase with one
+/// chunk calls its body inline instead: no pool, no task list.)
+fn fork<T: Send>(
+    pool: &mut Option<WorkerPool>,
+    threads: usize,
+    tasks: impl Iterator<Item = T>,
+    task: impl Fn(&mut T) + Sync,
+) {
+    if pool.as_ref().map(WorkerPool::workers) != Some(threads - 1) {
+        *pool = Some(WorkerPool::new(threads - 1));
+    }
+    let mut tasks: Vec<T> = tasks.collect();
+    let (first, rest) = tasks.split_at_mut(1);
+    pool.as_mut().expect("pool built above").run_with(rest, |_, t| task(t), || task(&mut first[0]));
+}
+
+/// A packed outcome with a `Heard` id mapped from internal to external.
+#[inline]
+fn external(int2ext: &[u32], oc: u32) -> u32 {
+    if oc < OC_MIN_SENTINEL {
+        int2ext[oc as usize]
+    } else {
+        oc
     }
 }
 
@@ -1274,6 +1301,54 @@ fn resolve_channel_into(
     }
 }
 
+/// Phase-2 body for touched channels `lo..hi` of `table`: resolves each
+/// with `strategy` and emits `(position in the range's listener list,
+/// listener, outcome)` triples (internal ids, packed outcomes). A PU-busy
+/// channel swallows its broadcasts and every listener on it hears noise,
+/// even with no broadcaster (the primary user itself occupies the medium);
+/// a channel with no broadcaster leaves its listeners' provisional `Idle`.
+///
+/// With `Auto` on many near-empty channels, one marking pass over the
+/// range lets every listener-side probe run against `(epoch, channel)`
+/// tags instead of a per-channel broadcaster set (the fused listener pass).
+/// With populated buckets the per-probe tag loads cost more than the
+/// per-channel set builds they avoid — see [`FUSED_MAX_AVG_BUCKET`]. Tags
+/// are absolute channel indices, so chunks never alias each other's marks.
+#[allow(clippy::too_many_arguments)]
+fn resolve_range<M>(
+    ig: &IntGraph,
+    scratch: &mut Scratch,
+    strategy: Resolver,
+    c: usize,
+    busy: Option<&BitSet>,
+    table: &Table<M>,
+    (lo, hi): (usize, usize),
+    emit: &mut impl FnMut(usize, u32, u32),
+) {
+    let Table { touched, b_off, l_off, b_nodes, .. } = table;
+    let active = (b_off[hi] - b_off[lo] + l_off[hi] - l_off[lo]) as usize;
+    let fused_epoch = (strategy == Resolver::Auto
+        && hi - lo >= 2
+        && c <= FUSED_MAX_C
+        && active <= FUSED_MAX_AVG_BUCKET * (hi - lo))
+        .then(|| mark_broadcast_channels(scratch, b_off, b_nodes, lo, hi));
+    let mut base = 0usize;
+    for (ti, &ch) in (lo..hi).zip(&touched[lo..hi]) {
+        let (bs, ls) = (table.broadcasters(ti), table.listeners(ti));
+        if busy.is_some_and(|m| m.contains(ch as usize)) {
+            for (pos, &l) in ls.iter().enumerate() {
+                emit(base + pos, l, OC_PU_BUSY);
+            }
+        } else if !bs.is_empty() && !ls.is_empty() {
+            let fused = fused_epoch.map(|e| (e, ti as u32));
+            resolve_channel_into(ig, scratch, strategy, fused, bs, ls, &mut |pos, l, oc| {
+                emit(base + pos, l, oc)
+            });
+        }
+        base += ls.len();
+    }
+}
+
 impl<'net, P: Protocol> Engine<'net, P> {
     /// Creates an engine for `net` with the default [`Resolver::Auto`],
     /// constructing each node's protocol via `make`, and deriving all node
@@ -1363,30 +1438,18 @@ impl<'net, P: Protocol> Engine<'net, P> {
             dense_to_raw,
             spectrum: None,
             node_plan: vec![SLEEPING; n],
-            actions: Vec::with_capacity(n),
-            outcomes: Vec::with_capacity(n),
+            outcomes: vec![OC_IDLE; n],
             renumbering,
             ext2int,
             int2ext,
             ig,
-            collect: Vec::new(),
-            phase1_min_nodes: DEFAULT_PHASE1_POOL_MIN_NODES,
-            phase1_tune: Some(Phase1Tune::default()),
-            phase3_min_nodes: DEFAULT_PHASE3_POOL_MIN_NODES,
-            deliver: Vec::new(),
-            touched: Vec::new(),
-            chan_epoch: vec![0; universe],
-            chan_slot: vec![0; universe],
-            slot_epoch: 0,
-            b_cnt: Vec::new(),
-            l_cnt: Vec::new(),
-            b_off: Vec::new(),
-            l_off: Vec::new(),
-            bcast_nodes: Vec::new(),
-            listen_nodes: Vec::new(),
+            table: Table::new(),
+            chunk_tables: Vec::new(),
+            stamps: vec![Stamps::new(universe)],
             shards: vec![ShardSlot::new(n)],
             shard_weights: Vec::new(),
             shard_bounds: Vec::new(),
+            deliver: Vec::new(),
             pool: None,
             phase_timings: None,
         }
@@ -1397,7 +1460,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
     /// from `seed`, and zeroes the slot counter and [`Counters`].
     ///
     /// Everything expensive survives: the channel translation table, the
-    /// flat action buckets, the per-shard scratch, and — crucially — the
+    /// action tables, the per-chunk scratch, and — crucially — the
     /// persistent worker pool, whose threads stay parked rather than being
     /// torn down and re-spawned. A reset engine is observationally
     /// indistinguishable from a freshly constructed one (the epoch-stamped
@@ -1420,10 +1483,10 @@ impl<'net, P: Protocol> Engine<'net, P> {
         if let Some(sp) = self.spectrum.as_mut() {
             sp.reset();
         }
-        // `slot_epoch` keeps counting monotonically: the stamps in
-        // `chan_epoch` and the shard scratches only ever compare for
-        // equality with the *current* epoch, so continuing the sequence is
-        // exactly as invisible as starting over — and cheaper.
+        // The stamp and scratch epochs keep counting monotonically: stamps
+        // only ever compare for equality with the *current* epoch, so
+        // continuing the sequence is exactly as invisible as starting over
+        // — and cheaper.
     }
 
     /// The network this engine runs on.
@@ -1465,54 +1528,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
         self.resolver = resolver;
     }
 
-    /// The node-count threshold at or above which a
-    /// [`Resolver::ParallelSharded`] engine routes phase-1 action
-    /// collection through its worker pool (see
-    /// [`DEFAULT_PHASE1_POOL_MIN_NODES`]).
-    pub fn phase1_pool_min_nodes(&self) -> usize {
-        self.phase1_min_nodes
-    }
-
-    /// Sets the pooled-collection threshold: `0` forces phase-1 pooling on
-    /// (whenever the resolver is sharded), `usize::MAX` forces it off.
-    /// Pinning a threshold disables the auto-tuner. Purely a performance
-    /// knob — the pooled and sequential collection paths are bit-identical
-    /// (enforced by the batch differential suite), so this never changes
-    /// results.
-    pub fn set_phase1_pool_min_nodes(&mut self, min_nodes: usize) {
-        self.phase1_min_nodes = min_nodes;
-        self.phase1_tune = None;
-    }
-
-    /// Turns the phase-1 routing auto-tuner on or off. On (the default for
-    /// a fresh engine), the first `PHASE1_TUNE_SLOTS` sharded slots
-    /// collect sequentially and the next as many through the pool, both
-    /// timed, and the faster routing is locked in for the rest of the
-    /// engine's life (surviving [`Engine::reset`]). Both routings are
-    /// bit-identical, so tuning never changes results — it only replaces
-    /// the static [`DEFAULT_PHASE1_POOL_MIN_NODES`] guess with a measured
-    /// decision.
-    pub fn set_phase1_pool_autotune(&mut self, on: bool) {
-        self.phase1_tune = on.then(Phase1Tune::default);
-    }
-
-    /// The node-count threshold at or above which a
-    /// [`Resolver::ParallelSharded`] engine routes phase-3 feedback
-    /// delivery through its worker pool (see
-    /// [`DEFAULT_PHASE3_POOL_MIN_NODES`]).
-    pub fn phase3_pool_min_nodes(&self) -> usize {
-        self.phase3_min_nodes
-    }
-
-    /// Sets the pooled-delivery threshold: `0` forces phase-3 pooling on
-    /// (whenever the resolver is sharded), `usize::MAX` forces it off.
-    /// Purely a performance knob — the pooled and sequential delivery
-    /// paths are bit-identical (enforced by the batch differential suite),
-    /// so this never changes results.
-    pub fn set_phase3_pool_min_nodes(&mut self, min_nodes: usize) {
-        self.phase3_min_nodes = min_nodes;
-    }
-
     /// Turns per-phase wall-clock timing on or off (off for a fresh
     /// engine). Enabling zeroes any previous totals; disabling discards
     /// them. Costs ~5 monotonic clock reads per slot while on, and is
@@ -1533,23 +1548,38 @@ impl<'net, P: Protocol> Engine<'net, P> {
         &self.renumbering
     }
 
-    /// Heap bytes of the engine's per-node and adjacency structures (the
-    /// internal CSR + dense rows, translation table, permutations, packed
-    /// outcomes) plus the lazily allocated pooled-phase scratch (per-chunk
-    /// collection shards, per-chunk delivery counter deltas) — reported
-    /// next to the network footprint by the huge-sparse bench row to prove
-    /// `O(n + m)` setup. The `huge_smoke` CI gate asserts this both before
-    /// and after a pooled run, so any hidden `O(n · threads)` buffer a
-    /// pooled path allocates on first use trips the gate.
+    /// Heap bytes of every buffer the engine owns: the internal CSR and
+    /// dense rows, the translation tables, permutations, per-node RNG
+    /// streams, plans and packed outcomes, the slot's action table, and
+    /// the per-chunk scratch of all three phases — phase-1 chunk tables and
+    /// stamp tables, phase-2 resolution scratch (`≈ 16 B/node` per chunk
+    /// plus a bit set and an outcome buffer) and phase-3 counter deltas.
+    /// Not counted: protocol state, heap owned by message payloads, the
+    /// spectrum process, and worker stacks. Reported next to the network
+    /// footprint by the huge-sparse bench row to prove `O(n + m)` setup;
+    /// the `huge_smoke` CI gate asserts it before and after a multi-chunk
+    /// run, since the per-chunk scratch is allocated on first use and is
+    /// `O(n · threads)`.
     pub fn internal_memory_bytes(&self) -> usize {
         self.ig.memory_bytes()
             + (self.xlate.capacity()
+                + self.dense_to_raw.capacity()
                 + self.ext2int.capacity()
                 + self.int2ext.capacity()
                 + self.node_plan.capacity()
                 + self.outcomes.capacity())
-                * std::mem::size_of::<u32>()
-            + self.collect.iter().map(CollectShard::memory_bytes).sum::<usize>()
+                * 4
+            + self.rngs.capacity() * std::mem::size_of::<SmallRng>()
+            + self.table.memory_bytes()
+            + self.chunk_tables.iter().map(Table::memory_bytes).sum::<usize>()
+            + self.stamps.iter().map(Stamps::memory_bytes).sum::<usize>()
+            + self
+                .shards
+                .iter()
+                .map(|s| s.scratch.memory_bytes() + s.out.capacity() * 4)
+                .sum::<usize>()
+            + self.shard_weights.capacity() * 8
+            + self.shard_bounds.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.deliver.capacity() * std::mem::size_of::<DeliverDelta>()
     }
 
@@ -1616,23 +1646,18 @@ impl<'net, P: Protocol> Engine<'net, P> {
 
     /// Executes exactly one slot.
     ///
-    /// The `Send` bounds exist for the pooled phase-1 collection path,
-    /// which hands protocol and message state to worker threads; the
-    /// `Sync` bound for the pooled phase-3 delivery path, whose workers
-    /// share the slot's action buffer read-only while decoding `Heard`
-    /// borrows. Every protocol in this workspace satisfies them.
+    /// The `Send` bounds exist for multi-chunk phase 1, which hands
+    /// protocol and message state to worker threads; the `Sync` bound for
+    /// multi-chunk phase 3, whose workers share the slot's action buffer
+    /// read-only while decoding `Heard` borrows. Every protocol in this
+    /// workspace satisfies them.
     pub fn step(&mut self)
     where
         P: Send,
         P::Message: Send + Sync,
     {
         let slot = Slot(self.slot);
-        let n = self.net.len();
-        self.touched.clear();
-        self.b_cnt.clear();
-        self.l_cnt.clear();
-        self.slot_epoch += 1;
-        let epoch = self.slot_epoch;
+        let threads = self.resolver.threads();
 
         // Optional phase timing: one clock read here plus one per phase
         // boundary (laps share their boundary read). `None` when timing is
@@ -1653,547 +1678,196 @@ impl<'net, P: Protocol> Engine<'net, P> {
             0
         };
 
-        // Phase 1: collect every node's action through `act_batch`,
-        // translate local labels, count per-channel populations, and
-        // counting-sort into the flat channel buckets — chunked across the
-        // worker pool when the engine is sharded and the routing (measured
-        // by the auto-tuner, or the static threshold) says pooling pays.
-        let pool_threads = match self.resolver {
-            Resolver::ParallelSharded { threads } if threads >= 2 && n >= 2 => Some(threads),
-            _ => None,
-        };
-        let route_pooled = pool_threads.is_some()
-            && match &self.phase1_tune {
-                Some(t) => t.measured >= PHASE1_TUNE_SLOTS,
-                None => n >= self.phase1_min_nodes,
-            };
-        let timer = pool_threads.and(self.phase1_tune.as_ref()).map(|_| std::time::Instant::now());
-        match pool_threads {
-            Some(threads) if route_pooled => self.collect_pooled(threads, slot, epoch),
-            _ => self.collect_sequential(slot, epoch),
-        }
-        if let Some(start) = timer {
-            let ns = start.elapsed().as_nanos();
-            if let Some(t) = self.phase1_tune.as_mut() {
-                if t.measured < PHASE1_TUNE_SLOTS {
-                    t.seq_ns += ns;
-                } else {
-                    t.pooled_ns += ns;
-                }
-                t.measured += 1;
-                if t.measured == 2 * PHASE1_TUNE_SLOTS {
-                    // Lock the measured winner by collapsing the threshold.
-                    self.phase1_min_nodes = if t.pooled_ns < t.seq_ns { 0 } else { usize::MAX };
-                    self.phase1_tune = None;
-                }
-            }
-        }
-
-        // PU accounting over the touched channels (O(t), sequential in
-        // every mode): a busy touched channel swallows its broadcasts.
-        // Listener-side effects are applied during resolution below.
+        let collect_chunks = self.collect(threads, slot);
+        // PU accounting over the touched channels (O(t), charged to phase
+        // 1): a busy touched channel swallows its broadcasts. Listener-side
+        // effects are applied during resolution.
         if let Some(sp) = &self.spectrum {
             let mask = sp.mask();
-            for ti in 0..self.touched.len() {
-                if mask.contains(self.touched[ti] as usize) {
+            for (ti, &ch) in self.table.touched.iter().enumerate() {
+                if mask.contains(ch as usize) {
                     self.counters.pu_busy_channel_slots += 1;
-                    self.counters.pu_blocked_broadcasts +=
-                        (self.b_off[ti + 1] - self.b_off[ti]) as u64;
+                    self.counters.pu_blocked_broadcasts += self.table.broadcasters(ti).len() as u64;
                 }
             }
         }
-        // The PU sweep and tuner bookkeeping above are charged to phase 1:
-        // both are O(touched) postludes of collection, not resolution work.
         let collect_ns = lap(&mut mark);
-
-        // Phase 2: resolve each touched channel — sharded across the pool
-        // when requested, sequentially otherwise.
-        let t = self.touched.len();
-        let route_sharded = matches!(self.resolver, Resolver::ParallelSharded { threads } if threads >= 2)
-            && t >= 2;
-        match self.resolver {
-            Resolver::ParallelSharded { threads } if threads >= 2 && t >= 2 => {
-                self.resolve_all_sharded(threads);
-            }
-            r => self.resolve_all_sequential(r.per_channel()),
-        }
+        let resolve_chunks = self.resolve(threads);
         let resolve_ns = lap(&mut mark);
-
-        // Phase 3: batched feedback delivery. A counting sweep folds the
-        // per-outcome counter updates in one branch-predictable pass, then
-        // `feedback_batch` hands the protocols their packed outcome range —
-        // heard messages are borrowed from the broadcasters' entries in the
-        // action buffer, zero clones. On a sharded engine at large n the
-        // delivery itself runs on the worker pool in contiguous node-range
-        // chunks (bit-identical: a node's feedback depends only on its own
-        // outcome, action buffer, and RNG stream, and the per-chunk counter
-        // deltas merge to the sequential totals exactly).
-        let deliver_pooled = pool_threads.is_some() && n >= self.phase3_min_nodes;
-        match pool_threads {
-            Some(threads) if n >= self.phase3_min_nodes => self.deliver_pooled(threads, slot),
-            _ => self.deliver_sequential(slot),
-        }
+        let deliver_chunks = self.deliver(threads, slot);
         let deliver_ns = lap(&mut mark);
 
         if let Some(pt) = self.phase_timings.as_mut() {
             pt.slots += 1;
             pt.spectrum_ns += spectrum_ns;
-            if route_pooled {
-                pt.collect_pooled_ns += collect_ns;
-                pt.collect_pooled_slots += 1;
-            } else {
-                pt.collect_sequential_ns += collect_ns;
-            }
-            if route_sharded {
-                pt.resolve_sharded_ns += resolve_ns;
-                pt.resolve_sharded_slots += 1;
-            } else {
-                pt.resolve_sequential_ns += resolve_ns;
-            }
-            if deliver_pooled {
-                pt.deliver_pooled_ns += deliver_ns;
-                pt.deliver_pooled_slots += 1;
-            } else {
-                pt.deliver_sequential_ns += deliver_ns;
-            }
+            PhaseTimings::book(
+                collect_ns,
+                collect_chunks,
+                &mut pt.collect_sequential_ns,
+                &mut pt.collect_pooled_ns,
+                &mut pt.collect_pooled_slots,
+            );
+            PhaseTimings::book(
+                resolve_ns,
+                resolve_chunks,
+                &mut pt.resolve_sequential_ns,
+                &mut pt.resolve_sharded_ns,
+                &mut pt.resolve_sharded_slots,
+            );
+            PhaseTimings::book(
+                deliver_ns,
+                deliver_chunks,
+                &mut pt.deliver_sequential_ns,
+                &mut pt.deliver_pooled_ns,
+                &mut pt.deliver_pooled_slots,
+            );
         }
 
         self.slot += 1;
         self.counters.slots += 1;
     }
 
-    /// Sequential phase 3: the counting sweep over the whole outcome
-    /// range, then one `feedback_batch` call over the whole node range.
-    fn deliver_sequential(&mut self, slot: Slot) {
-        self.counters.apply(count_outcomes(&self.outcomes));
-        let Engine { protocols, rngs, actions, outcomes, .. } = self;
-        let mut ctx = BatchCtx::new(slot, rngs);
-        P::feedback_batch(protocols, &mut ctx, FeedbackBatch::new(outcomes, actions));
-    }
-
-    /// Pooled phase 3: contiguous node-range chunks of (protocols, RNG
-    /// streams, outcomes) delivered by the pool workers plus the calling
-    /// thread, each chunk folding its own counter delta; deltas merge in
-    /// chunk order after the join. Chunk boundaries mirror
-    /// [`Engine::collect_pooled`]; every chunk reads the *full* shared
-    /// action buffer, since broadcaster ids are global.
-    fn deliver_pooled(&mut self, threads: usize, slot: Slot)
-    where
-        P: Send,
-        P::Message: Sync,
-    {
-        let n = self.net.len();
-        let groups = threads.min(n);
-        let chunk = n.div_ceil(groups);
-        let groups = n.div_ceil(chunk);
-        debug_assert!(groups >= 2, "caller guarantees threads >= 2 and n >= 2");
-        self.ensure_pool(threads - 1);
-        while self.deliver.len() < groups {
-            self.deliver.push(DeliverDelta::default());
-        }
-        {
-            let Engine { protocols, rngs, actions, outcomes, deliver, pool, .. } = self;
-            let actions: &[Action<P::Message>] = actions;
-
-            struct DeliverTask<'a, P: Protocol> {
-                protos: &'a mut [P],
-                rngs: &'a mut [SmallRng],
-                outc: &'a [u32],
-                delta: &'a mut DeliverDelta,
-            }
-            let mut tasks: Vec<DeliverTask<'_, P>> = protocols
-                .chunks_mut(chunk)
-                .zip(rngs.chunks_mut(chunk))
-                .zip(outcomes.chunks(chunk))
-                .zip(deliver[..groups].iter_mut())
-                .map(|(((protos, rngs), outc), delta)| DeliverTask { protos, rngs, outc, delta })
-                .collect();
-            debug_assert_eq!(tasks.len(), groups);
-
-            let run_task = |t: &mut DeliverTask<'_, P>| {
-                *t.delta = count_outcomes(t.outc);
-                let mut ctx = BatchCtx::new(slot, t.rngs);
-                P::feedback_batch(t.protos, &mut ctx, FeedbackBatch::new(t.outc, actions));
-            };
-            let (first, rest) = tasks.split_at_mut(1);
-            pool.as_mut().expect("pool ensured above").run_with(
-                rest,
-                |_, t| run_task(t),
-                || run_task(&mut first[0]),
-            );
-        }
-        for i in 0..groups {
-            self.counters.apply(self.deliver[i]);
-        }
-    }
-
-    /// Sequential phase 1: one `act_batch` call over the whole node range,
-    /// then a counting pass over the returned actions and the classic
-    /// prefix-sum + counting-sort scatter into the global channel buckets.
-    fn collect_sequential(&mut self, slot: Slot, epoch: u64) {
-        let n = self.net.len();
-        self.actions.clear();
-        self.outcomes.clear();
-        {
-            let Engine { protocols, rngs, actions, .. } = self;
-            let mut ctx = BatchCtx::new(slot, rngs);
-            P::act_batch(protocols, &mut ctx, actions);
-        }
-        assert_eq!(self.actions.len(), n, "act_batch must emit one action per node");
-
-        // Phase 1a: translate + count with epoch-stamped first-touch
-        // detection.
-        let (mut nb, mut nl, mut ns) = (0u64, 0u64, 0u64);
-        {
-            let Engine {
-                actions,
-                xlate,
-                c,
-                node_plan,
-                outcomes,
-                touched,
-                chan_epoch,
-                chan_slot,
-                b_cnt,
-                l_cnt,
-                ..
-            } = self;
-            let (c, xlate) = (*c, &xlate[..]);
-            for (v, action) in actions.iter().enumerate() {
-                let (packed, outcome) = match action {
-                    Action::Broadcast { channel, .. } => {
-                        nb += 1;
-                        let ch = translate_label(xlate, c, v, *channel);
-                        let ti =
-                            touch_channel(touched, chan_epoch, chan_slot, b_cnt, l_cnt, ch, epoch);
-                        b_cnt[ti as usize] += 1;
-                        (ti | BCAST_BIT, OC_SENT)
-                    }
-                    Action::Listen { channel } => {
-                        nl += 1;
-                        let ch = translate_label(xlate, c, v, *channel);
-                        let ti =
-                            touch_channel(touched, chan_epoch, chan_slot, b_cnt, l_cnt, ch, epoch);
-                        l_cnt[ti as usize] += 1;
-                        (ti, OC_IDLE)
-                    }
-                    Action::Sleep => {
-                        ns += 1;
-                        (SLEEPING, OC_SLEPT)
-                    }
-                };
-                node_plan[v] = packed;
-                outcomes.push(outcome);
-            }
-        }
-        self.counters.broadcasts += nb;
-        self.counters.listens += nl;
-        self.counters.sleeps += ns;
-
-        // Phase 1b: counting-sort scatter into the flat channel buckets
-        // (prefix sums over the touched channels, then one pass over the
-        // nodes — ascending node order within each bucket by construction).
-        let t = self.touched.len();
-        self.b_off.clear();
-        self.l_off.clear();
-        self.b_off.push(0);
-        self.l_off.push(0);
-        let (mut tb, mut tl) = (0u32, 0u32);
-        for ti in 0..t {
-            tb += self.b_cnt[ti];
-            tl += self.l_cnt[ti];
-            self.b_off.push(tb);
-            self.l_off.push(tl);
-        }
-        self.bcast_nodes.resize(tb as usize, 0);
-        self.listen_nodes.resize(tl as usize, 0);
-        // Reuse the count vectors as scatter cursors.
-        self.b_cnt.copy_from_slice(&self.b_off[..t]);
-        self.l_cnt.copy_from_slice(&self.l_off[..t]);
-        for v in 0..n {
-            let packed = self.node_plan[v];
-            if packed == SLEEPING {
-                continue;
-            }
-            // Buckets hold *internal* ids, scattered in ascending external
-            // order (matching the pooled path exactly).
-            if packed & BCAST_BIT != 0 {
-                let ti = (packed & !BCAST_BIT) as usize;
-                let cur = self.b_cnt[ti] as usize;
-                self.bcast_nodes[cur] = self.ext2int[v];
-                self.b_cnt[ti] += 1;
-            } else {
-                let ti = packed as usize;
-                let cur = self.l_cnt[ti] as usize;
-                self.listen_nodes[cur] = self.ext2int[v];
-                self.l_cnt[ti] += 1;
-            }
-        }
-    }
-
-    /// Pooled phase 1: the node range is split into `threads` contiguous
-    /// chunks; the calling thread plus `threads − 1` pool workers each run
-    /// [`collect_chunk`] on one chunk (its `act_batch` call, local counts,
-    /// and local buckets), and the caller then merges the chunk results:
-    ///
-    /// * the **global touched-channel list** is rebuilt by walking the
-    ///   chunk-local lists in ascending chunk order and keeping first
-    ///   occurrences — which reproduces the sequential path's global
-    ///   first-touch order *exactly*, because chunks cover ascending node
-    ///   ranges and each local list is in first-touch (node) order;
-    /// * per-channel counts are summed and prefix-summed into the global
-    ///   CSR offsets, and each chunk's local bucket segments are copied in
-    ///   chunk order — ascending chunk order × ascending node order within
-    ///   a chunk = globally ascending node order within every bucket,
-    ///   exactly what the sequential scatter produces.
-    ///
-    /// Node RNG streams are untouched by the partition (stream `i` is only
-    /// ever advanced by node `i`'s own draws, in slot order), so the pooled
-    /// path is bit-identical to the sequential one at any thread count —
-    /// enforced by the batch differential suite in
-    /// `tests/tests/engine_equiv.rs`.
-    fn collect_pooled(&mut self, threads: usize, slot: Slot, epoch: u64)
+    /// Phase 1: every chunk runs [`collect_chunk`] over its node range.
+    /// One chunk fills the slot's table directly; several fill their own
+    /// tables, merged by [`merge_tables`]. Node RNG streams are untouched
+    /// by the partition (stream `i` is only ever advanced by node `i`'s own
+    /// draws, in slot order). Returns the chunk count.
+    fn collect(&mut self, threads: usize, slot: Slot) -> usize
     where
         P: Send,
         P::Message: Send,
     {
-        let n = self.net.len();
-        let groups = threads.min(n);
-        let chunk = n.div_ceil(groups);
-        let groups = n.div_ceil(chunk);
-        debug_assert!(groups >= 2, "caller guarantees threads >= 2 and n >= 2");
-        self.ensure_pool(threads - 1);
-        let universe = self.chan_epoch.len();
-        while self.collect.len() < groups {
-            self.collect.push(CollectShard::new(universe));
+        let (len, chunks) = node_chunks(self.net.len(), threads);
+        let universe = self.dense_to_raw.len();
+        while self.stamps.len() < chunks {
+            self.stamps.push(Stamps::new(universe));
         }
-        self.actions.clear();
-        self.outcomes.clear();
-        self.outcomes.resize(n, OC_IDLE);
-
-        // Fan out: each chunk task owns disjoint slices of the per-node
-        // state plus one private shard; shard 0 runs on the calling thread.
-        {
-            let Engine {
-                protocols,
-                rngs,
-                node_plan,
-                outcomes,
-                collect,
-                xlate,
-                ext2int,
-                c,
-                pool,
-                ..
-            } = self;
-            let (c, xlate, ext2int) = (*c, &xlate[..], &ext2int[..]);
-            struct ChunkTask<'a, P: Protocol> {
-                base: usize,
-                protos: &'a mut [P],
-                rngs: &'a mut [SmallRng],
-                plan: &'a mut [u32],
-                outc: &'a mut [u32],
-                shard: &'a mut CollectShard<P::Message>,
-            }
-            let mut tasks: Vec<ChunkTask<'_, P>> = Vec::with_capacity(groups);
-            for (i, ((((protos, rngs), plan), outc), shard)) in protocols
-                .chunks_mut(chunk)
-                .zip(rngs.chunks_mut(chunk))
-                .zip(node_plan.chunks_mut(chunk))
-                .zip(outcomes.chunks_mut(chunk))
-                .zip(collect[..groups].iter_mut())
-                .enumerate()
-            {
-                tasks.push(ChunkTask { base: i * chunk, protos, rngs, plan, outc, shard });
-            }
-            let run_task = |t: &mut ChunkTask<'_, P>| {
-                collect_chunk(
-                    slot, t.base, xlate, ext2int, c, t.protos, t.rngs, t.plan, t.outc, t.shard,
-                );
-            };
-            let (first, rest) = tasks.split_at_mut(1);
-            pool.as_mut().expect("pool ensured above").run_with(
-                rest,
-                |_, t| run_task(t),
-                || run_task(&mut first[0]),
-            );
-        }
-
-        // Merge 1: global first-touch channel list + summed counts.
-        {
-            let Engine { collect, touched, chan_epoch, chan_slot, b_cnt, l_cnt, .. } = self;
-            for shard in &collect[..groups] {
-                for (lti, &ch) in shard.touched.iter().enumerate() {
-                    let ti = touch_channel(
-                        touched,
-                        chan_epoch,
-                        chan_slot,
-                        b_cnt,
-                        l_cnt,
-                        ch as usize,
-                        epoch,
-                    ) as usize;
-                    b_cnt[ti] += shard.b_off[lti + 1] - shard.b_off[lti];
-                    l_cnt[ti] += shard.l_off[lti + 1] - shard.l_off[lti];
-                }
+        if chunks > 1 {
+            while self.chunk_tables.len() < chunks {
+                self.chunk_tables.push(Table::new());
             }
         }
-
-        // Merge 2: global prefix sums over the merged counts.
-        let t = self.touched.len();
-        self.b_off.clear();
-        self.l_off.clear();
-        self.b_off.push(0);
-        self.l_off.push(0);
-        let (mut tb, mut tl) = (0u32, 0u32);
-        for ti in 0..t {
-            tb += self.b_cnt[ti];
-            tl += self.l_cnt[ti];
-            self.b_off.push(tb);
-            self.l_off.push(tl);
-        }
-        self.bcast_nodes.resize(tb as usize, 0);
-        self.listen_nodes.resize(tl as usize, 0);
-        self.b_cnt.copy_from_slice(&self.b_off[..t]);
-        self.l_cnt.copy_from_slice(&self.l_off[..t]);
-
-        // Merge 3: copy each chunk's local bucket segments into the global
-        // buckets (contiguous memcpys, cursor per channel), collect the
-        // chunk actions in node order, and sum the action tallies.
-        {
-            let Engine {
-                collect,
-                chan_slot,
-                b_cnt,
-                l_cnt,
-                bcast_nodes,
-                listen_nodes,
-                actions,
-                counters,
-                ..
-            } = self;
-            for shard in &mut collect[..groups] {
-                for (lti, &ch) in shard.touched.iter().enumerate() {
-                    let ti = chan_slot[ch as usize] as usize;
-                    let src =
-                        &shard.b_nodes[shard.b_off[lti] as usize..shard.b_off[lti + 1] as usize];
-                    let cur = b_cnt[ti] as usize;
-                    bcast_nodes[cur..cur + src.len()].copy_from_slice(src);
-                    b_cnt[ti] += src.len() as u32;
-                    let src =
-                        &shard.l_nodes[shard.l_off[lti] as usize..shard.l_off[lti + 1] as usize];
-                    let cur = l_cnt[ti] as usize;
-                    listen_nodes[cur..cur + src.len()].copy_from_slice(src);
-                    l_cnt[ti] += src.len() as u32;
-                }
-                actions.append(&mut shard.out);
-                counters.broadcasts += shard.nb;
-                counters.listens += shard.nl;
-                counters.sleeps += shard.ns;
-            }
-        }
-        debug_assert_eq!(self.actions.len(), n);
-    }
-
-    /// Ensures the engine owns a pool with exactly `workers` worker
-    /// threads, recreating it (graceful teardown of the old one) if the
-    /// count changed since the last pooled slot. Shared by pooled phase-1
-    /// collection and sharded phase-2 resolution, which therefore reuse
-    /// the same parked threads within a slot.
-    fn ensure_pool(&mut self, workers: usize) {
-        if self.pool.as_ref().map(WorkerPool::workers) != Some(workers) {
-            self.pool = Some(WorkerPool::new(workers));
-        }
-    }
-
-    /// Sequentially resolves every touched channel with `strategy`, writing
-    /// `self.outcomes` in place.
-    fn resolve_all_sequential(&mut self, strategy: Resolver) {
         let Engine {
-            ig,
-            int2ext,
-            c,
-            touched,
-            b_off,
-            l_off,
-            bcast_nodes,
-            listen_nodes,
-            shards,
+            protocols,
+            rngs,
+            node_plan,
             outcomes,
-            spectrum,
+            xlate,
+            ext2int,
+            c,
+            table,
+            chunk_tables,
+            stamps,
+            pool,
+            counters,
             ..
         } = self;
-        let busy = spectrum.as_ref().map(SpectrumState::mask);
-        let scratch = &mut shards[0].scratch;
-        let t = touched.len();
-        // Many near-empty channels: one slot-wide marking pass lets every
-        // listener-side probe run against `(epoch, channel)` tags instead
-        // of a per-channel broadcaster set (the fused listener pass). With
-        // populated buckets the per-probe tag loads cost more than the
-        // per-channel set builds they avoid — see `FUSED_MAX_AVG_BUCKET`.
-        let active = (b_off[t] + l_off[t]) as usize;
-        let fused_epoch = (strategy == Resolver::Auto
-            && t >= 2
-            && *c <= FUSED_MAX_C
-            && active <= FUSED_MAX_AVG_BUCKET * t)
-            .then(|| mark_broadcast_channels(scratch, b_off, bcast_nodes, 0, t));
-        for ti in 0..t {
-            let bs = &bcast_nodes[b_off[ti] as usize..b_off[ti + 1] as usize];
-            let ls = &listen_nodes[l_off[ti] as usize..l_off[ti + 1] as usize];
-            if busy.is_some_and(|m| m.contains(touched[ti] as usize)) {
-                // PU-busy channel: broadcasts are lost, every listener
-                // hears noise (even with zero broadcasters — the primary
-                // user itself occupies the medium).
-                for &l in ls {
-                    outcomes[int2ext[l as usize] as usize] = OC_PU_BUSY;
-                }
-                continue;
-            }
-            if bs.is_empty() || ls.is_empty() {
-                // No broadcasters: listeners keep their provisional Idle.
-                // No listeners: nothing can be heard.
-                continue;
-            }
-            let fused = fused_epoch.map(|e| (e, ti as u32));
-            resolve_channel_into(ig, scratch, strategy, fused, bs, ls, &mut |_, l, oc| {
-                outcomes[int2ext[l as usize] as usize] =
-                    if oc < OC_MIN_SENTINEL { int2ext[oc as usize] } else { oc };
+        let (c, xlate, ext2int) = (*c, &xlate[..], &ext2int[..]);
+        if chunks == 1 {
+            let st = &mut stamps[0];
+            collect_chunk(
+                slot, 0, xlate, ext2int, c, protocols, rngs, node_plan, outcomes, table, st,
+            );
+        } else {
+            let tasks = protocols
+                .chunks_mut(len)
+                .zip(rngs.chunks_mut(len))
+                .zip(node_plan.chunks_mut(len))
+                .zip(outcomes.chunks_mut(len))
+                .zip(chunk_tables.iter_mut().zip(stamps.iter_mut()))
+                .enumerate();
+            fork(pool, threads, tasks, |(i, ((((protos, rngs), plan), outc), (tab, st)))| {
+                collect_chunk(slot, *i * len, xlate, ext2int, c, protos, rngs, plan, outc, tab, st)
             });
+            merge_tables(table, &mut chunk_tables[..chunks], &mut stamps[0]);
         }
+        for st in &stamps[..chunks] {
+            counters.broadcasts += st.tally[0];
+            counters.listens += st.tally[1];
+            counters.sleeps += st.tally[2];
+        }
+        debug_assert_eq!(table.actions.len(), self.net.len());
+        chunks
     }
 
-    /// Resolves the touched channels across `threads`-way parallelism: the
-    /// calling thread plus `threads − 1` persistent pool workers.
-    ///
-    /// The partition is contiguous in touched order and balanced by a
-    /// deterministic per-channel cost proxy (`1 + L + Σ_b deg(b)`); each
-    /// shard resolves its channels with the `Auto` heuristic into a private
-    /// outcome buffer using private scratch, and the buffers are scattered
-    /// into `self.outcomes` after the join. Channels are independent within
-    /// a slot and resolution is deterministic, so the result is
-    /// bit-identical to sequential resolution at any thread count.
-    ///
-    /// Workers live in a persistent [`WorkerPool`] owned by the engine:
-    /// parked between slots and woken by a generation counter, so the
-    /// per-slot cost is one wake/park round-trip instead of the
-    /// spawn/join (~tens of µs) the previous `std::thread::scope`
-    /// implementation paid — the difference between losing and winning on
-    /// the small-slot, many-slot workloads the paper's Ω(polylog n)-slot
-    /// primitives produce (see `small_slot_200` in the engine bench). The
-    /// pool is spawned on the first sharded slot and re-sized if the
-    /// resolver's thread count changes; shard 0 always runs on the calling
-    /// thread, overlapping with the workers.
-    fn resolve_all_sharded(&mut self, threads: usize) {
-        let t = self.touched.len();
+    /// Phase 2: the touched channels split into `min(threads, touched)`
+    /// contiguous chunks, balanced by a deterministic per-channel cost
+    /// proxy (`1 + L + Σ_b deg(b)`), each resolved by [`resolve_range`]
+    /// with private scratch. One chunk writes `self.outcomes` in place;
+    /// several resolve into private buffers that are scattered into it
+    /// after the join (every listener belongs to exactly one channel, so
+    /// the writes are disjoint). Channels are independent within a slot and
+    /// resolution is deterministic, so the result is the same at any chunk
+    /// count. Returns the chunk count.
+    fn resolve(&mut self, threads: usize) -> usize
+    where
+        P::Message: Sync,
+    {
+        let t = self.table.touched.len();
+        let chunks = threads.min(t).max(1);
+        if chunks > 1 {
+            self.partition(chunks);
+        }
         let n = self.net.len();
-        let groups = threads.min(t);
-        debug_assert!(groups >= 2);
+        while self.shards.len() < chunks {
+            self.shards.push(ShardSlot::new(n));
+        }
+        let strategy = self.resolver.per_channel();
+        let Engine {
+            ig, int2ext, c, table, shards, shard_bounds, outcomes, pool, spectrum, ..
+        } = self;
+        let (ig, int2ext, table, c): (&IntGraph, &[u32], &Table<P::Message>, usize) =
+            (ig, int2ext, table, *c);
+        let busy = spectrum.as_ref().map(SpectrumState::mask);
+        if chunks == 1 {
+            resolve_range(
+                ig,
+                &mut shards[0].scratch,
+                strategy,
+                c,
+                busy,
+                table,
+                (0, t),
+                &mut |_, l, oc| outcomes[int2ext[l as usize] as usize] = external(int2ext, oc),
+            );
+            return 1;
+        }
+        let tasks = shards[..chunks].iter_mut().zip(shard_bounds.iter());
+        fork(pool, threads, tasks, |(shard, bounds)| {
+            let (lo, hi) = **bounds;
+            let listeners = (table.l_off[hi] - table.l_off[lo]) as usize;
+            shard.out.clear();
+            shard.out.resize(listeners, OC_IDLE);
+            let out = &mut shard.out;
+            resolve_range(
+                ig,
+                &mut shard.scratch,
+                strategy,
+                c,
+                busy,
+                table,
+                (lo, hi),
+                &mut |pos, _, oc| out[pos] = oc,
+            );
+        });
+        for (&(lo, hi), shard) in shard_bounds.iter().zip(&shards[..chunks]) {
+            let ls = &table.l_nodes[table.l_off[lo] as usize..table.l_off[hi] as usize];
+            for (&l, &oc) in ls.iter().zip(&shard.out) {
+                outcomes[int2ext[l as usize] as usize] = external(int2ext, oc);
+            }
+        }
+        chunks
+    }
 
-        // Deterministic cost-balanced contiguous partition.
+    /// Splits the touched channels into `chunks` contiguous ranges of
+    /// roughly equal cost (`1 + L + Σ_b deg(b)` per channel), at least one
+    /// channel each, into `self.shard_bounds`.
+    fn partition(&mut self, chunks: usize) {
+        let t = self.table.touched.len();
         self.shard_weights.clear();
         for ti in 0..t {
-            let bs = &self.bcast_nodes[self.b_off[ti] as usize..self.b_off[ti + 1] as usize];
-            let nl = (self.l_off[ti + 1] - self.l_off[ti]) as u64;
+            let bs = self.table.broadcasters(ti);
+            let nl = self.table.listeners(ti).len() as u64;
             self.shard_weights.push(1 + nl + approx_degree_sum(&self.ig, bs, usize::MAX) as u64);
         }
         let total: u64 = self.shard_weights.iter().sum();
@@ -2202,124 +1876,68 @@ impl<'net, P: Protocol> Engine<'net, P> {
         let mut cum = 0u64;
         for (ti, &w) in self.shard_weights.iter().enumerate() {
             cum += w;
-            let g = self.shard_bounds.len() + 1; // group being filled (1-based)
-            let must_close = t - ti - 1 == groups - g; // leave one channel per group
-            if g < groups && (must_close || cum * groups as u64 >= total * g as u64) {
+            let g = self.shard_bounds.len() + 1; // chunk being filled (1-based)
+            let must_close = t - ti - 1 == chunks - g; // leave one channel per chunk
+            if g < chunks && (must_close || cum * chunks as u64 >= total * g as u64) {
                 self.shard_bounds.push((start, ti + 1));
                 start = ti + 1;
             }
         }
         self.shard_bounds.push((start, t));
-        let groups = self.shard_bounds.len();
+        debug_assert_eq!(self.shard_bounds.len(), chunks);
+    }
 
-        while self.shards.len() < groups {
-            self.shards.push(ShardSlot::new(n));
+    /// Phase 3: every node chunk folds its outcome range into a counter
+    /// delta (see [`count_outcomes`]) and hands its protocols their
+    /// outcomes through one `feedback_batch` call; the deltas are folded
+    /// into [`Counters`] in chunk order. Every chunk reads the *full*
+    /// action buffer, since broadcaster ids are global. A node's feedback
+    /// depends only on its own outcome, the action buffer, and its own RNG
+    /// stream, so the chunking is invisible. Returns the chunk count.
+    fn deliver(&mut self, threads: usize, slot: Slot) -> usize
+    where
+        P: Send,
+        P::Message: Sync,
+    {
+        let (len, chunks) = node_chunks(self.net.len(), threads);
+        while self.deliver.len() < chunks {
+            self.deliver.push(DeliverDelta::default());
         }
-        // Workers beyond shard 0, spawned once and kept parked between
-        // slots; recreated (old pool torn down gracefully) only if the
-        // resolver's thread count changed since the last sharded slot.
-        self.ensure_pool(threads - 1);
-
-        let c = self.c;
-        let Engine {
-            ig,
-            int2ext,
-            touched,
-            b_off,
-            l_off,
-            bcast_nodes,
-            listen_nodes,
-            shards,
-            shard_bounds,
-            outcomes,
-            pool,
-            spectrum,
-            ..
-        } = self;
-        let ig: &IntGraph = ig;
-        let int2ext: &[u32] = int2ext;
-        let bounds: &[(usize, usize)] = shard_bounds;
-        let touched: &[u32] = touched;
-        let busy: Option<&BitSet> = spectrum.as_ref().map(SpectrumState::mask);
-        let (b_off, l_off): (&[u32], &[u32]) = (b_off, l_off);
-        let (bcast_nodes, listen_nodes): (&[u32], &[u32]) = (bcast_nodes, listen_nodes);
-
-        // One shard's work, identical on the calling thread and on a pool
-        // worker: resolve the group's channels into the shard's private
-        // outcome buffer (listener-position order) with private scratch.
-        // The PU busy mask was fixed in phase 0, so reading it from every
-        // shard is race-free and order-independent.
-        let resolve_group = |g: usize, shard: &mut ShardSlot| {
-            let (lo, hi) = bounds[g];
-            let listeners_total = (l_off[hi] - l_off[lo]) as usize;
-            shard.out.clear();
-            shard.out.resize(listeners_total, OC_IDLE);
-            // Per-group fused marking: tags are absolute channel indices,
-            // so shards never alias each other's marks even though every
-            // shard bumps its own private scratch epoch independently.
-            // Same near-empty-bucket gate as the sequential path.
-            let active = ((b_off[hi] - b_off[lo]) + (l_off[hi] - l_off[lo])) as usize;
-            let fused_epoch = (hi - lo >= 2
-                && c <= FUSED_MAX_C
-                && active <= FUSED_MAX_AVG_BUCKET * (hi - lo))
-                .then(|| mark_broadcast_channels(&mut shard.scratch, b_off, bcast_nodes, lo, hi));
-            let mut base = 0usize;
-            for ti in lo..hi {
-                let bs = &bcast_nodes[b_off[ti] as usize..b_off[ti + 1] as usize];
-                let ls = &listen_nodes[l_off[ti] as usize..l_off[ti + 1] as usize];
-                if busy.is_some_and(|m| m.contains(touched[ti] as usize)) {
-                    for slot in &mut shard.out[base..base + ls.len()] {
-                        *slot = OC_PU_BUSY;
-                    }
-                } else if !bs.is_empty() && !ls.is_empty() {
-                    let slice = &mut shard.out[base..base + ls.len()];
-                    resolve_channel_into(
-                        ig,
-                        &mut shard.scratch,
-                        Resolver::Auto,
-                        fused_epoch.map(|e| (e, ti as u32)),
-                        bs,
-                        ls,
-                        &mut |pos, _, oc| slice[pos] = oc,
-                    );
-                }
-                base += ls.len();
-            }
+        let Engine { protocols, rngs, table, outcomes, deliver, pool, counters, .. } = self;
+        let actions: &[Action<P::Message>] = &table.actions;
+        let deliver_chunk = |protos: &mut [P], rngs: &mut [SmallRng], outc: &[u32]| {
+            let delta = count_outcomes(outc);
+            let mut ctx = BatchCtx::new(slot, rngs);
+            P::feedback_batch(protos, &mut ctx, FeedbackBatch::new(outc, actions));
+            delta
         };
-
-        let (first, rest) = shards.split_at_mut(1);
-        pool.as_mut().expect("pool ensured above").run_with(
-            &mut rest[..groups - 1],
-            |w, shard| resolve_group(w + 1, shard),
-            || resolve_group(0, &mut first[0]),
-        );
-
-        // Scatter the shard buffers into per-node outcomes. Every listener
-        // belongs to exactly one channel (a node takes one action per
-        // slot), so the writes are disjoint and order-free.
-        for (&(lo, hi), shard) in bounds.iter().zip(shards[..groups].iter()) {
-            let mut base = 0usize;
-            for ti in lo..hi {
-                let ls = &listen_nodes[l_off[ti] as usize..l_off[ti + 1] as usize];
-                for (j, &l) in ls.iter().enumerate() {
-                    let oc = shard.out[base + j];
-                    outcomes[int2ext[l as usize] as usize] =
-                        if oc < OC_MIN_SENTINEL { int2ext[oc as usize] } else { oc };
-                }
-                base += ls.len();
-            }
+        if chunks == 1 {
+            counters.apply(deliver_chunk(protocols, rngs, outcomes));
+            return 1;
         }
+        let tasks = protocols
+            .chunks_mut(len)
+            .zip(rngs.chunks_mut(len))
+            .zip(outcomes.chunks(len))
+            .zip(deliver.iter_mut());
+        fork(pool, threads, tasks, |(((protos, rngs), outc), delta)| {
+            **delta = deliver_chunk(protos, rngs, outc)
+        });
+        for &d in &deliver[..chunks] {
+            counters.apply(d);
+        }
+        chunks
     }
 
     /// Runs until `max_slots` slots have executed, every protocol is
     /// complete, or the optional probe returns `true`.
     ///
     /// The probe (if provided as `Some((interval, f))`) is evaluated every
-    /// `interval` slots with the current slot count; it is how experiments
-    /// measure *time-to-completion* against external ground truth. The run
-    /// continues to the protocols' own schedule end even after the probe
-    /// fires only if `stop_on_probe` is false — here we always stop, because
-    /// completion-time experiments don't need the tail.
+    /// `interval` slots with the current slot count, once before the first
+    /// slot, and once more when the run ends; it is how experiments measure
+    /// *time-to-completion* against external ground truth. The run stops at
+    /// the first evaluation that returns `true` — completion-time
+    /// experiments don't need the tail of the protocols' schedule.
     pub fn run(&mut self, max_slots: u64, mut probe: Option<Probe<'_, '_, 'net, P>>) -> RunOutcome
     where
         P: Send,
@@ -2771,6 +2389,33 @@ mod tests {
             eng.step();
             assert_eq!(eng.counters().deliveries, 1, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn memory_accounting_counts_per_chunk_resolution_scratch() {
+        // Every node listens on its private channel: n touched channels, so
+        // a 4-way sharded engine resolves phase 2 in 4 chunks and owns
+        // three more resolution scratches (≈ 16 B/node each) than a
+        // one-chunk engine.
+        let net = star(63);
+        let n = net.len();
+        let bytes_after_one_slot = |resolver: Resolver| {
+            let mut eng = Engine::with_resolver(&net, 7, resolver, |ctx| Fixed {
+                bcast: false,
+                ch: LocalChannel(1),
+                heard: Vec::new(),
+                id: ctx.id.0,
+            });
+            eng.step();
+            eng.internal_memory_bytes()
+        };
+        let sequential = bytes_after_one_slot(Resolver::Auto);
+        let sharded = bytes_after_one_slot(Resolver::sharded(4));
+        assert!(
+            sharded >= sequential + 3 * 16 * n,
+            "sharded(4) reports {sharded} bytes, sequential {sequential}: per-chunk scratch \
+             is not counted"
+        );
     }
 
     #[test]

@@ -152,8 +152,8 @@ pub struct SlotCtx<'a, R: RngCore = SmallRng> {
 /// protocol slice).
 ///
 /// Constructed by the engine, which hands each phase-1 chunk — the whole
-/// node range on the sequential path, a contiguous sub-range per worker on
-/// the pooled path — its own `BatchCtx`.
+/// node range when the phase runs as one chunk, a contiguous sub-range
+/// per thread otherwise — its own `BatchCtx`.
 pub struct BatchCtx<'a> {
     slot: Slot,
     rngs: &'a mut [SmallRng],
@@ -391,8 +391,8 @@ pub trait Protocol {
     /// exactly `batch.len()` actions to `out`, one per instance in batch
     /// order, drawing node `i`'s randomness only from stream `i` of `ctx`.
     ///
-    /// This is the engine's phase-1 entry point — the unit its pooled
-    /// collection path dispatches to worker threads in node-range chunks.
+    /// This is the engine's phase-1 entry point — the unit a sharded
+    /// engine dispatches to worker threads in node-range chunks.
     /// The default implementation delegates to scalar [`Protocol::act`]
     /// per node, so existing implementations keep working unchanged.
     ///
@@ -421,8 +421,8 @@ pub trait Protocol {
     /// node `i` of the batch receives the feedback decoded from outcome
     /// `i` of `fb`, drawing any randomness only from stream `i` of `ctx`.
     ///
-    /// This is the engine's phase-3 entry point — the unit its pooled
-    /// delivery path dispatches to worker threads in node-range chunks.
+    /// This is the engine's phase-3 entry point — the unit a sharded
+    /// engine dispatches to worker threads in node-range chunks.
     /// The default implementation delegates to scalar
     /// [`Protocol::feedback`] per node, so existing implementations keep
     /// working unchanged.

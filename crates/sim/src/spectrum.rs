@@ -25,7 +25,7 @@
 //! The busy mask is therefore a pure function of `(master seed, dynamics,
 //! slot)`: bit-identical across every
 //! [`Resolver`](crate::engine::Resolver), every worker-pool thread count,
-//! pooled phase-1 collection on or off, and across
+//! and across
 //! [`Engine::reset`](crate::engine::Engine::reset) reuse.
 //!
 //! The on/off processes are sojourn-based: a channel holds its state for a

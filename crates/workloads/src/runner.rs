@@ -26,9 +26,9 @@ use crn_sim::{Counters, Engine, Network, NodeCtx, NodeId, Protocol, Resolver, Sp
 /// opposite regime: few/huge runs where a *single* engine must use many
 /// cores. A sharded trial engine owns a persistent worker pool
 /// ([`crn_sim::pool::WorkerPool`]): the workers are spawned on the first
-/// sharded slot of the trial, stay parked between slots, and are torn down
-/// with the engine — so even many-slot trials pay thread setup once, not
-/// per slot. Every execution mode is observationally identical (enforced by
+/// multi-chunk phase of the trial, stay parked between phases, and are
+/// torn down with the engine — so even many-slot trials pay thread setup
+/// once, not per slot. Every execution mode is observationally identical (enforced by
 /// the engine's differential tests), so this knob never changes results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineExec {
@@ -48,15 +48,18 @@ impl EngineExec {
         EngineExec { resolver: Resolver::Auto }
     }
 
-    /// Channel-sharded engine: phase-2 resolution on the trial thread plus
-    /// `threads − 1` persistent pool workers.
+    /// Sharded engine: `sharded(k)` chunks every phase `k` ways, run on
+    /// the trial thread plus `k − 1` persistent pool workers. Meant for
+    /// huge runs; every pooled phase pays a worker wake, so small networks
+    /// run faster on [`EngineExec::sequential`].
     pub fn sharded(threads: usize) -> EngineExec {
         EngineExec { resolver: Resolver::sharded(threads) }
     }
 
-    /// [`EngineExec::sharded`] at the machine's available parallelism —
-    /// the right call for a single huge run on an otherwise idle host.
-    /// Safe to use anywhere: results never depend on the thread count.
+    /// [`EngineExec::sharded`] with `k` = the machine's available
+    /// parallelism: every phase chunked that many ways — the right call
+    /// for a single huge run on an otherwise idle host. Safe to use
+    /// anywhere: results never depend on the thread count.
     pub fn sharded_auto() -> EngineExec {
         EngineExec::sharded(std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
     }

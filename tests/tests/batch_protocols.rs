@@ -10,10 +10,9 @@
 //! delegation for both — and the two executions must produce bit-identical
 //! counters and outputs on the same network and seed.
 //!
-//! The matrix covers sequential and channel-sharded engines at threads
-//! {1, 2, 4} with pooled phase-1 collection and pooled phase-3 delivery
-//! each forced on and off, so the chunked dispatch of both batch hooks is
-//! exercised, including ragged chunk boundaries.
+//! The matrix covers the sequential engine and sharded engines at threads
+//! {2, 4, 8}, so the chunked dispatch of both batch hooks is exercised,
+//! including ragged chunk boundaries.
 
 use crn_core::baselines::{
     FixedRateDiscovery, FixedRateSchedule, NaiveBroadcast, NaiveDiscovery, NaiveDiscoverySchedule,
@@ -74,8 +73,7 @@ fn build_net(topo: &Topology, model: &ChannelModel, seed: u64) -> Network {
 }
 
 /// Runs `make`'s protocol batched and its [`ScalarOnly`] twin scalar,
-/// across sequential and sharded engines at threads {1, 2, 4} with pooled
-/// phase-1 collection and pooled phase-3 delivery each forced on and off,
+/// across the sequential engine and sharded engines at threads {2, 4, 8},
 /// and requires bit-identical counters and outputs everywhere.
 fn assert_batch_matches_scalar<P, F>(net: &Network, seed: u64, slots: u64, make: F)
 where
@@ -84,52 +82,37 @@ where
     P::Output: PartialEq + std::fmt::Debug + Send,
     F: Fn(NodeCtx) -> P + Copy,
 {
-    let scalar =
-        |resolver: Resolver, phase1_min: usize, phase3_min: usize| -> (Counters, Vec<P::Output>) {
-            let mut eng = Engine::with_resolver(net, seed, resolver, |ctx| ScalarOnly(make(ctx)));
-            eng.set_phase1_pool_min_nodes(phase1_min);
-            eng.set_phase3_pool_min_nodes(phase3_min);
-            eng.run_to_completion(slots);
-            (eng.counters(), eng.into_outputs())
-        };
-    let batched =
-        |resolver: Resolver, phase1_min: usize, phase3_min: usize| -> (Counters, Vec<P::Output>) {
-            let mut eng = Engine::with_resolver(net, seed, resolver, make);
-            eng.set_phase1_pool_min_nodes(phase1_min);
-            eng.set_phase3_pool_min_nodes(phase3_min);
-            eng.run_to_completion(slots);
-            (eng.counters(), eng.into_outputs())
-        };
+    let scalar = |resolver: Resolver| -> (Counters, Vec<P::Output>) {
+        let mut eng = Engine::with_resolver(net, seed, resolver, |ctx| ScalarOnly(make(ctx)));
+        eng.run_to_completion(slots);
+        (eng.counters(), eng.into_outputs())
+    };
+    let batched = |resolver: Resolver| -> (Counters, Vec<P::Output>) {
+        let mut eng = Engine::with_resolver(net, seed, resolver, make);
+        eng.run_to_completion(slots);
+        (eng.counters(), eng.into_outputs())
+    };
 
-    let (ref_counters, ref_outputs) = scalar(Resolver::Auto, usize::MAX, usize::MAX);
+    let (ref_counters, ref_outputs) = scalar(Resolver::Auto);
 
-    // The scalar twin under pooled delivery: a protocol that overrides
+    // The scalar twin on a multi-chunk engine: a protocol that overrides
     // neither batch hook (any third-party impl) must survive the chunked
     // default delegation unchanged.
-    let (counters, outputs) = scalar(Resolver::ParallelSharded { threads: 3 }, usize::MAX, 0);
+    let (counters, outputs) = scalar(Resolver::ParallelSharded { threads: 3 });
     assert_eq!(counters, ref_counters, "pooled scalar-delegation counters diverge");
     assert_eq!(outputs, ref_outputs, "pooled scalar-delegation outputs diverge");
 
-    // The batched protocol across threads {1, 2, 4} × pooled delivery
-    // {off, on} (× pooled phase-1 on wherever the engine is sharded; a
-    // 1-thread engine is plain sequential).
-    for threads in [1usize, 2, 4] {
-        let (resolver, phase1_min) = if threads == 1 {
-            (Resolver::Auto, usize::MAX)
-        } else {
-            (Resolver::ParallelSharded { threads }, 0)
-        };
-        for phase3_min in [usize::MAX, 0] {
-            let (counters, outputs) = batched(resolver, phase1_min, phase3_min);
-            assert_eq!(
-                counters, ref_counters,
-                "batched counters diverge from scalar (threads {threads}, phase3_min {phase3_min})"
-            );
-            assert_eq!(
-                outputs, ref_outputs,
-                "batched outputs diverge from scalar (threads {threads}, phase3_min {phase3_min})"
-            );
-        }
+    // The batched protocol across threads {1, 2, 4, 8} (a 1-thread engine
+    // is plain sequential, one chunk per phase).
+    for threads in [1usize, 2, 4, 8] {
+        let resolver =
+            if threads == 1 { Resolver::Auto } else { Resolver::ParallelSharded { threads } };
+        let (counters, outputs) = batched(resolver);
+        assert_eq!(
+            counters, ref_counters,
+            "batched counters diverge from scalar (threads {threads})"
+        );
+        assert_eq!(outputs, ref_outputs, "batched outputs diverge from scalar (threads {threads})");
     }
 }
 

@@ -16,12 +16,12 @@
 //! a protocol's [`Protocol::act_batch`] / [`Protocol::feedback_batch`]
 //! overrides (buffered bulk draws) must be draw-for-draw identical to the
 //! scalar [`Protocol::act`] / [`Protocol::feedback`], and the engine's
-//! pooled phase-1 collection (node-range chunks on the worker pool, merged
-//! by prefix-sum) and pooled phase-3 delivery (same chunking, per-chunk
-//! counter deltas merged in chunk order) must be bit-identical to their
-//! sequential forms — all enforced here by running a batched protocol
-//! against a scalar-only twin across thread counts with the pooled stages
-//! forced on and off, under static and dynamic spectrum alike.
+//! multi-chunk phase-1 collection (node-range chunks on the worker pool,
+//! merged by prefix-sum) and multi-chunk phase-3 delivery (same chunking,
+//! per-chunk counter deltas merged in chunk order) must be bit-identical
+//! to one chunk — all enforced here by running a batched protocol against
+//! a scalar-only twin across thread counts, under static and dynamic
+//! spectrum alike.
 
 use crn_sim::channels::ChannelModel;
 use crn_sim::engine::Resolver;
@@ -299,12 +299,11 @@ fn pooled_engine_stays_in_lockstep_with_naive_across_steps() {
 }
 
 /// Batch-vs-scalar lockstep differential: a batched protocol (buffered
-/// bulk draws) on a sharded engine — with pooled phase-1 collection forced
-/// **on** and forced **off** — must agree with a scalar-only twin on a
+/// bulk draws) on a sharded engine must agree with a scalar-only twin on a
 /// naive sequential engine after **every** slot, at thread counts
-/// {1, 2, 4, 8}. This pins any divergence (an over-reserved word buffer, a
-/// mis-merged bucket, a chunk boundary error) to the exact slot where it
-/// first appears.
+/// {1, 2, 4, 8} (one chunk per phase at 1, several above). This pins any
+/// divergence (an over-reserved word buffer, a mis-merged bucket, a chunk
+/// boundary error) to the exact slot where it first appears.
 #[test]
 fn batched_pipeline_stays_in_lockstep_with_scalar() {
     let net = build_network(
@@ -316,39 +315,30 @@ fn batched_pipeline_stays_in_lockstep_with_scalar() {
     let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
 
     for threads in [1usize, 2, 4, 8] {
-        // Pooled phase-1 forced on (threshold 0) and forced off (MAX); at
-        // threads = 1 the engine must ignore the force-on and stay
-        // sequential.
-        for phase1_min in [0usize, usize::MAX] {
-            let mut reference =
-                Engine::with_resolver(&net, 21, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
-            let mut batched =
-                Engine::with_resolver(&net, 21, Resolver::ParallelSharded { threads }, chatter);
-            batched.set_phase1_pool_min_nodes(phase1_min);
-            for slot in 0..72u64 {
-                reference.step();
-                batched.step();
-                assert_eq!(
-                    batched.counters(),
-                    reference.counters(),
-                    "threads={threads} phase1_min={phase1_min}: counters diverge after slot {slot}"
-                );
-            }
-            let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
-            reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
-            batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
+        let mut reference =
+            Engine::with_resolver(&net, 21, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
+        let mut batched =
+            Engine::with_resolver(&net, 21, Resolver::ParallelSharded { threads }, chatter);
+        for slot in 0..72u64 {
+            reference.step();
+            batched.step();
             assert_eq!(
-                batched_traces, ref_traces,
-                "threads={threads} phase1_min={phase1_min}: feedback traces diverge"
+                batched.counters(),
+                reference.counters(),
+                "threads={threads}: counters diverge after slot {slot}"
             );
         }
+        let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
+        reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
+        batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
+        assert_eq!(batched_traces, ref_traces, "threads={threads}: feedback traces diverge");
     }
 }
 
-/// Phase-3 twin differential: the batched feedback path — sequential
-/// *and* pooled delivery (threshold forced to 0 and to MAX) — must agree
-/// with the scalar-delegation twin on a naive sequential engine after
-/// **every** slot, at thread counts {1, 2, 4, 8}. A divergence here is a
+/// Phase-3 twin differential: the batched feedback path — one-chunk
+/// delivery at threads 1, multi-chunk above — must agree with the
+/// scalar-delegation twin on a naive sequential engine after **every**
+/// slot, at thread counts {1, 2, 4, 8}. A divergence here is a
 /// delivery bug (a mis-decoded outcome word, a counter delta merged out of
 /// order, a chunk handed the wrong RNG lane), pinned to the exact slot
 /// where it first appears.
@@ -363,41 +353,32 @@ fn batched_feedback_stays_in_lockstep_with_scalar() {
     let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
 
     for threads in [1usize, 2, 4, 8] {
-        // Pooled delivery forced on (threshold 0) and forced off (MAX); at
-        // threads = 1 the engine must ignore the force-on and deliver
-        // sequentially.
-        for phase3_min in [0usize, usize::MAX] {
-            let mut reference =
-                Engine::with_resolver(&net, 13, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
-            let mut batched =
-                Engine::with_resolver(&net, 13, Resolver::ParallelSharded { threads }, chatter);
-            batched.set_phase3_pool_min_nodes(phase3_min);
-            for slot in 0..72u64 {
-                reference.step();
-                batched.step();
-                assert_eq!(
-                    batched.counters(),
-                    reference.counters(),
-                    "threads={threads} phase3_min={phase3_min}: counters diverge after slot {slot}"
-                );
-            }
-            let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
-            reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
-            batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
+        let mut reference =
+            Engine::with_resolver(&net, 13, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
+        let mut batched =
+            Engine::with_resolver(&net, 13, Resolver::ParallelSharded { threads }, chatter);
+        for slot in 0..72u64 {
+            reference.step();
+            batched.step();
             assert_eq!(
-                batched_traces, ref_traces,
-                "threads={threads} phase3_min={phase3_min}: feedback traces diverge"
+                batched.counters(),
+                reference.counters(),
+                "threads={threads}: counters diverge after slot {slot}"
             );
         }
+        let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
+        reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
+        batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
+        assert_eq!(batched_traces, ref_traces, "threads={threads}: feedback traces diverge");
     }
 }
 
 /// Dynamic-spectrum delivery differential: with a primary-user process
-/// installed, pooled phase-3 delivery must fold the `OC_PU_BUSY` outcome
-/// into **both** `collisions` and `pu_blocked_listens` exactly as the
-/// scalar path does, per slot, across thread counts and with pooled
-/// phase-1 collection also engaged. The final assertion that the PU
-/// actually bit guards the test against silently probing nothing.
+/// installed, multi-chunk phase-3 delivery must fold the `OC_PU_BUSY`
+/// outcome into **both** `collisions` and `pu_blocked_listens` exactly as
+/// the scalar path does, per slot, across thread counts. The final
+/// assertion that the PU actually bit guards the test against silently
+/// probing nothing.
 #[test]
 fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
     let net = build_network(
@@ -413,27 +394,22 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
         Engine::with_resolver(&net, 33, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
     reference.set_spectrum(dyn_.clone());
 
-    let mut others: Vec<(usize, usize, Engine<'_, Chatter>)> = Vec::new();
+    let mut others: Vec<(usize, Engine<'_, Chatter>)> = Vec::new();
     for threads in [2usize, 4, 8] {
-        for phase3_min in [0usize, usize::MAX] {
-            let mut eng =
-                Engine::with_resolver(&net, 33, Resolver::ParallelSharded { threads }, chatter);
-            eng.set_phase1_pool_min_nodes(0);
-            eng.set_phase3_pool_min_nodes(phase3_min);
-            eng.set_spectrum(dyn_.clone());
-            others.push((threads, phase3_min, eng));
-        }
+        let mut eng =
+            Engine::with_resolver(&net, 33, Resolver::ParallelSharded { threads }, chatter);
+        eng.set_spectrum(dyn_.clone());
+        others.push((threads, eng));
     }
 
     for slot in 0..72u64 {
         reference.step();
-        for (threads, phase3_min, eng) in &mut others {
+        for (threads, eng) in &mut others {
             eng.step();
             assert_eq!(
                 eng.counters(),
                 reference.counters(),
-                "threads={threads} phase3_min={phase3_min}: PU counter folding diverges after \
-                 slot {slot}"
+                "threads={threads}: PU counter folding diverges after slot {slot}"
             );
         }
     }
@@ -443,18 +419,15 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
 
     let mut ref_traces = Vec::new();
     reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
-    for (threads, phase3_min, eng) in &mut others {
+    for (threads, eng) in &mut others {
         let mut traces = Vec::new();
         eng.for_each_protocol(|_, p| traces.push(p.trace.clone()));
-        assert_eq!(
-            traces, ref_traces,
-            "threads={threads} phase3_min={phase3_min}: feedback traces diverge"
-        );
+        assert_eq!(traces, ref_traces, "threads={threads}: feedback traces diverge");
     }
 }
 
-/// Pooled delivery composes with engine reuse: the per-chunk delta scratch
-/// allocated on first pooled delivery survives [`Engine::reset`] by design
+/// Multi-chunk delivery composes with engine reuse: the per-chunk delta
+/// scratch allocated on first use survives [`Engine::reset`] by design
 /// and must be observationally invisible — one engine running pooled
 /// delivery twice back-to-back (at *different* thread counts, so the
 /// scratch is re-chunked) reproduces the naive scalar reference. n = 29 is
@@ -471,8 +444,6 @@ fn pooled_delivery_survives_reset_and_odd_chunks() {
     let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 8, c, 0.4, 64);
 
     let mut eng = Engine::with_resolver(&net, 8, Resolver::ParallelSharded { threads: 3 }, make);
-    eng.set_phase1_pool_min_nodes(0);
-    eng.set_phase3_pool_min_nodes(0);
     eng.run_to_completion(64);
     assert_eq!(eng.counters(), ref_counters, "first pooled-delivery run diverges");
 
@@ -486,9 +457,9 @@ fn pooled_delivery_survives_reset_and_odd_chunks() {
     assert_eq!(traces, ref_traces, "post-reset pooled-delivery traces diverge");
 }
 
-/// Pooled phase-1 collection composes with everything else the engine
-/// does: resolver switching mid-run, engine reuse via reset, and odd
-/// chunking (thread counts that don't divide n).
+/// Multi-chunk phase-1 collection composes with everything else the
+/// engine does: resolver switching mid-run, engine reuse via reset, and
+/// odd chunking (thread counts that don't divide n).
 #[test]
 fn pooled_collection_survives_reset_and_odd_chunks() {
     // n = 29 is prime: every thread count in the rotation produces a
@@ -503,7 +474,6 @@ fn pooled_collection_survives_reset_and_odd_chunks() {
     let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 8, c, 0.4, 64);
 
     let mut eng = Engine::with_resolver(&net, 8, Resolver::ParallelSharded { threads: 3 }, make);
-    eng.set_phase1_pool_min_nodes(0);
     eng.run_to_completion(64);
     assert_eq!(eng.counters(), ref_counters, "first pooled-collection run diverges");
 
@@ -566,8 +536,8 @@ fn engine_reuse_via_reset_matches_fresh_engines() {
 }
 
 /// The spectrum-dynamics differential: with a primary-user process
-/// installed, every resolver at every thread count — pooled phase-1
-/// collection forced on and off — must stay in slot-by-slot lockstep with
+/// installed, every resolver at every thread count must stay in
+/// slot-by-slot lockstep with
 /// the naive sequential engine running the *same* dynamics. The busy mask
 /// is computed once per slot from per-(slot, channel)-keyed streams, so
 /// any divergence here is a masking bug (a shard reading a stale mask, a
@@ -598,25 +568,21 @@ fn dynamic_spectrum_stays_in_lockstep_across_resolvers() {
         let mut reference = Engine::with_resolver(&net, 21, Resolver::Naive, chatter);
         reference.set_spectrum(dyn_.clone());
 
-        let mut others: Vec<(Resolver, usize, Engine<'_, Chatter>)> = Vec::new();
+        let mut others: Vec<(Resolver, Engine<'_, Chatter>)> = Vec::new();
         for resolver in OPTIMIZED_RESOLVERS {
-            for phase1_min in [0usize, usize::MAX] {
-                let mut eng = Engine::with_resolver(&net, 21, resolver, chatter);
-                eng.set_phase1_pool_min_nodes(phase1_min);
-                eng.set_spectrum(dyn_.clone());
-                others.push((resolver, phase1_min, eng));
-            }
+            let mut eng = Engine::with_resolver(&net, 21, resolver, chatter);
+            eng.set_spectrum(dyn_.clone());
+            others.push((resolver, eng));
         }
 
         for slot in 0..72u64 {
             reference.step();
-            for (resolver, phase1_min, eng) in &mut others {
+            for (resolver, eng) in &mut others {
                 eng.step();
                 assert_eq!(
                     eng.counters(),
                     reference.counters(),
-                    "{dyn_:?} {resolver:?} phase1_min={phase1_min}: counters diverge after \
-                     slot {slot}"
+                    "{dyn_:?} {resolver:?}: counters diverge after slot {slot}"
                 );
             }
         }
@@ -626,13 +592,10 @@ fn dynamic_spectrum_stays_in_lockstep_across_resolvers() {
 
         let mut ref_traces = Vec::new();
         reference.for_each_protocol(|_, p| ref_traces.push(p.trace.clone()));
-        for (resolver, phase1_min, eng) in &mut others {
+        for (resolver, eng) in &mut others {
             let mut traces = Vec::new();
             eng.for_each_protocol(|_, p| traces.push(p.trace.clone()));
-            assert_eq!(
-                traces, ref_traces,
-                "{dyn_:?} {resolver:?} phase1_min={phase1_min}: feedback traces diverge"
-            );
+            assert_eq!(traces, ref_traces, "{dyn_:?} {resolver:?}: feedback traces diverge");
         }
     }
 }
@@ -699,10 +662,9 @@ fn spectrum_survives_engine_reset() {
 }
 
 /// Property over topology/channel-count/seed space: the scalar sequential
-/// engine, the batched engine, and the channel-sharded engine at 2, 4, and
-/// 8 threads — with pooled phase-1 collection both forced on and off — are
-/// bit-identical (counters *and* full per-slot feedback traces) on
-/// randomized networks.
+/// engine, the batched engine, and the sharded engine at 2, 4, and 8
+/// threads are bit-identical (counters *and* full per-slot feedback
+/// traces) on randomized networks.
 mod sharded_equivalence_property {
     use super::*;
     use proptest::prelude::*;
@@ -734,27 +696,6 @@ mod sharded_equivalence_property {
         (eng.counters(), eng.into_outputs())
     }
 
-    /// Like [`run`] but with the pooled phase-1 threshold pinned.
-    fn run_phase1(
-        net: &Network,
-        resolver: Resolver,
-        seed: u64,
-        c: u16,
-        p_bcast: f64,
-        slots: u64,
-        phase1_min: usize,
-    ) -> (Counters, Vec<Vec<Obs>>) {
-        let mut eng = Engine::with_resolver(net, seed, resolver, |ctx| Chatter {
-            c,
-            p_bcast,
-            id: ctx.id.0,
-            trace: Vec::new(),
-        });
-        eng.set_phase1_pool_min_nodes(phase1_min);
-        eng.run_to_completion(slots);
-        (eng.counters(), eng.into_outputs())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -782,29 +723,15 @@ mod sharded_equivalence_property {
             let (counters, traces) = run(&net, Resolver::Auto, seed, c, p_bcast, slots);
             prop_assert_eq!(counters, ref_counters, "batched act diverges on counters");
             prop_assert_eq!(&traces, &ref_traces, "batched act diverges on traces");
-            // Sharded engines, pooled phase-1 collection off and on.
+            // Sharded engines: several chunks in every phase.
             for threads in [2usize, 4, 8] {
-                for phase1_min in [usize::MAX, 0] {
-                    let (counters, traces) = run_phase1(
-                        &net,
-                        Resolver::ParallelSharded { threads },
-                        seed,
-                        c,
-                        p_bcast,
-                        slots,
-                        phase1_min,
-                    );
-                    prop_assert_eq!(
-                        counters, ref_counters,
-                        "threads={} phase1_min={} diverges on counters",
-                        threads, phase1_min
-                    );
-                    prop_assert_eq!(
-                        &traces, &ref_traces,
-                        "threads={} phase1_min={} diverges on feedback traces",
-                        threads, phase1_min
-                    );
-                }
+                let resolver = Resolver::ParallelSharded { threads };
+                let (counters, traces) = run(&net, resolver, seed, c, p_bcast, slots);
+                prop_assert_eq!(counters, ref_counters, "threads={} diverges on counters", threads);
+                prop_assert_eq!(
+                    &traces, &ref_traces,
+                    "threads={} diverges on feedback traces", threads
+                );
             }
         }
     }

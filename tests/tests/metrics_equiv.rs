@@ -7,8 +7,8 @@
 //! file enforces the promise the same way `engine_equiv.rs` enforces
 //! resolver equivalence — twin engines, timers on vs off, stepped in
 //! lockstep with counters compared after every slot and full traces
-//! compared at the end, across all resolvers × thread counts {1, 2, 4} ×
-//! pooled phase-1/phase-3 on and off, with and without spectrum dynamics.
+//! compared at the end, across all resolvers × thread counts {1, 2, 4, 8},
+//! with and without spectrum dynamics.
 //!
 //! The second half is a proptest over the `crn_sim::metrics` histogram:
 //! across arbitrary insert sequences, the per-bucket counts must always
@@ -83,8 +83,6 @@ fn build_engine<'a>(
     net: &'a Network,
     resolver: Resolver,
     c: u16,
-    p1_min: usize,
-    p3_min: usize,
     spectrum: bool,
     timed: bool,
 ) -> Engine<'a, Chatter> {
@@ -93,8 +91,6 @@ fn build_engine<'a>(
         id: ctx.id.0,
         trace: Vec::new(),
     });
-    eng.set_phase1_pool_min_nodes(p1_min);
-    eng.set_phase3_pool_min_nodes(p3_min);
     if spectrum {
         eng.set_spectrum(SpectrumDynamics::MarkovOnOff { p_busy: 0.2, p_free: 0.3 });
     }
@@ -106,25 +102,16 @@ fn build_engine<'a>(
 /// Counters must agree after *every* slot (a divergence is caught at the
 /// slot it happens, not at the end), traces must agree bit-for-bit at the
 /// end, and the timed engine must actually have measured something.
-fn assert_timing_invisible(
-    net: &Network,
-    resolver: Resolver,
-    c: u16,
-    p1_min: usize,
-    p3_min: usize,
-    spectrum: bool,
-    slots: u64,
-) {
-    let mut plain = build_engine(net, resolver, c, p1_min, p3_min, spectrum, false);
-    let mut timed = build_engine(net, resolver, c, p1_min, p3_min, spectrum, true);
+fn assert_timing_invisible(net: &Network, resolver: Resolver, c: u16, spectrum: bool, slots: u64) {
+    let mut plain = build_engine(net, resolver, c, spectrum, false);
+    let mut timed = build_engine(net, resolver, c, spectrum, true);
     for slot in 0..slots {
         plain.step();
         timed.step();
         assert_eq!(
             plain.counters(),
             timed.counters(),
-            "{resolver:?} p1_min={p1_min} p3_min={p3_min} spectrum={spectrum}: \
-             counters diverge at slot {slot}"
+            "{resolver:?} spectrum={spectrum}: counters diverge at slot {slot}"
         );
     }
     assert_eq!(plain.phase_timings(), None, "timing off must record nothing");
@@ -133,19 +120,14 @@ fn assert_timing_invisible(
     assert!(pt.total_ns() > 0, "a {slots}-slot run cannot take zero time");
     let plain_traces = plain.into_outputs();
     let timed_traces = timed.into_outputs();
-    assert_eq!(
-        plain_traces, timed_traces,
-        "{resolver:?} p1_min={p1_min} p3_min={p3_min} spectrum={spectrum}: traces diverge"
-    );
+    assert_eq!(plain_traces, timed_traces, "{resolver:?} spectrum={spectrum}: traces diverge");
     assert!(
         plain_traces.iter().any(|t| t.iter().any(|o| matches!(o, Obs::Heard(_)))),
         "scenario never delivers — not probing anything"
     );
 }
 
-/// All resolvers × sharded thread counts {1, 2, 4} × pooled phase-1 and
-/// phase-3 forced on/off × spectrum on/off. Pool thresholds only matter on
-/// sharded engines, so the sequential resolvers run the default config.
+/// All resolvers × sharded thread counts {1, 2, 4, 8} × spectrum on/off.
 #[test]
 fn phase_timers_are_observationally_invisible() {
     let n = 120usize;
@@ -159,14 +141,11 @@ fn phase_timers_are_observationally_invisible() {
         [Resolver::Naive, Resolver::Auto, Resolver::BroadcasterCentric, Resolver::ListenerCentric];
     for spectrum in [false, true] {
         for resolver in sequential {
-            assert_timing_invisible(&net, resolver, c, usize::MAX, usize::MAX, spectrum, slots);
+            assert_timing_invisible(&net, resolver, c, spectrum, slots);
         }
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 4, 8] {
             let resolver = Resolver::ParallelSharded { threads };
-            // (phase-1 pooled, phase-3 pooled): off/off, on/off, on/on.
-            for (p1_min, p3_min) in [(usize::MAX, usize::MAX), (0, usize::MAX), (0, 0)] {
-                assert_timing_invisible(&net, resolver, c, p1_min, p3_min, spectrum, slots);
-            }
+            assert_timing_invisible(&net, resolver, c, spectrum, slots);
         }
     }
 }
@@ -181,8 +160,8 @@ fn toggling_timers_mid_run_is_invisible_and_reenabling_zeroes() {
     let net = Network::generate(&topology, &channels, 5).expect("network must build");
     let c = net.channels_per_node() as u16;
 
-    let mut plain = build_engine(&net, Resolver::Auto, c, usize::MAX, usize::MAX, false, false);
-    let mut toggled = build_engine(&net, Resolver::Auto, c, usize::MAX, usize::MAX, false, false);
+    let mut plain = build_engine(&net, Resolver::Auto, c, false, false);
+    let mut toggled = build_engine(&net, Resolver::Auto, c, false, false);
     for phase in 0..4u64 {
         // Timers on for phases 1 and 3, off for 0 and 2.
         toggled.set_phase_timing(phase % 2 == 1);

@@ -160,9 +160,9 @@ fn renumbering_is_bit_invisible_across_all_resolvers() {
     }
 }
 
-/// Renumbering must also be invisible to the phase-1 autotuner and the
-/// pooled collection path: pin the pooled threshold both ways on a sharded
-/// engine and compare against the unrenumbered sequential reference.
+/// Renumbering must also be invisible to multi-chunk collection: a
+/// renumbered sharded engine at threads {1, 2, 4, 8} must match the
+/// unrenumbered sequential reference.
 #[test]
 fn renumbering_is_invisible_with_pooled_collection_pinned() {
     let net = Network::generate(
@@ -175,28 +175,17 @@ fn renumbering_is_invisible_with_pooled_collection_pinned() {
     let make = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
     let (ref_counters, ref_traces) = run(&net, Resolver::Naive, Renumbering::Identity, 21, 0.5, 64);
 
-    for threads in [2usize, 4] {
-        for phase1_min in [0usize, usize::MAX] {
-            let mut eng = Engine::with_renumbering(
-                &net,
-                21,
-                Resolver::ParallelSharded { threads },
-                Renumbering::DegreeSorted,
-                make,
-            );
-            eng.set_phase1_pool_min_nodes(phase1_min);
-            eng.run_to_completion(64);
-            assert_eq!(
-                eng.counters(),
-                ref_counters,
-                "threads={threads} phase1_min={phase1_min}: counters diverge"
-            );
-            assert_eq!(
-                eng.into_outputs(),
-                ref_traces,
-                "threads={threads} phase1_min={phase1_min}: traces diverge"
-            );
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let mut eng = Engine::with_renumbering(
+            &net,
+            21,
+            Resolver::ParallelSharded { threads },
+            Renumbering::DegreeSorted,
+            make,
+        );
+        eng.run_to_completion(64);
+        assert_eq!(eng.counters(), ref_counters, "threads={threads}: counters diverge");
+        assert_eq!(eng.into_outputs(), ref_traces, "threads={threads}: traces diverge");
     }
 }
 
