@@ -336,9 +336,6 @@ pub struct Engine<'net, P: Protocol> {
     /// kept across slots to avoid reallocation.
     shard_weights: Vec<u64>,
     shard_bounds: Vec<(usize, usize)>,
-    /// Per-chunk counter deltas of a multi-chunk phase 3, folded into
-    /// [`Counters`] in chunk order.
-    deliver: Vec<DeliverDelta>,
     /// Worker pool of a multi-chunk engine: `threads − 1` parked workers,
     /// spawned on the first multi-chunk phase (one-chunk engines never pay
     /// for it), re-sized if the thread count changes, torn down on drop.
@@ -985,22 +982,24 @@ fn node_chunks(n: usize, threads: usize) -> (usize, usize) {
     (len, n.div_ceil(len))
 }
 
-/// Runs `task` on every chunk of a phase with several: chunk 0 on the
+/// Runs `task` on every chunk of a phase with several — chunk 0 on the
 /// calling thread plus one per worker of `pool`, which is (re)built with
-/// `threads − 1` workers if it does not have them yet. (A phase with one
-/// chunk calls its body inline instead: no pool, no task list.)
+/// `threads − 1` workers if it does not have them yet — and returns the
+/// tasks in chunk order. (A phase with one chunk calls its body inline
+/// instead: no pool, no task list.)
 fn fork<T: Send>(
     pool: &mut Option<WorkerPool>,
     threads: usize,
     tasks: impl Iterator<Item = T>,
     task: impl Fn(&mut T) + Sync,
-) {
+) -> Vec<T> {
     if pool.as_ref().map(WorkerPool::workers) != Some(threads - 1) {
         *pool = Some(WorkerPool::new(threads - 1));
     }
     let mut tasks: Vec<T> = tasks.collect();
     let (first, rest) = tasks.split_at_mut(1);
     pool.as_mut().expect("pool built above").run_with(rest, |_, t| task(t), || task(&mut first[0]));
+    tasks
 }
 
 /// A packed outcome with a `Heard` id mapped from internal to external.
@@ -1449,7 +1448,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
             shards: vec![ShardSlot::new(n)],
             shard_weights: Vec::new(),
             shard_bounds: Vec::new(),
-            deliver: Vec::new(),
             pool: None,
             phase_timings: None,
         }
@@ -1551,9 +1549,9 @@ impl<'net, P: Protocol> Engine<'net, P> {
     /// Heap bytes of every buffer the engine owns: the internal CSR and
     /// dense rows, the translation tables, permutations, per-node RNG
     /// streams, plans and packed outcomes, the slot's action table, and
-    /// the per-chunk scratch of all three phases — phase-1 chunk tables and
-    /// stamp tables, phase-2 resolution scratch (`≈ 16 B/node` per chunk
-    /// plus a bit set and an outcome buffer) and phase-3 counter deltas.
+    /// the per-chunk scratch of phases 1 and 2 — chunk tables and stamp
+    /// tables, and resolution scratch (`≈ 16 B/node` per chunk plus a bit
+    /// set and an outcome buffer).
     /// Not counted: protocol state, heap owned by message payloads, the
     /// spectrum process, and worker stacks. Reported next to the network
     /// footprint by the huge-sparse bench row to prove `O(n + m)` setup;
@@ -1580,7 +1578,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
                 .sum::<usize>()
             + self.shard_weights.capacity() * 8
             + self.shard_bounds.capacity() * std::mem::size_of::<(usize, usize)>()
-            + self.deliver.capacity() * std::mem::size_of::<DeliverDelta>()
     }
 
     /// Installs primary-user spectrum dynamics (see [`crate::spectrum`]):
@@ -1900,10 +1897,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
         P::Message: Sync,
     {
         let (len, chunks) = node_chunks(self.net.len(), threads);
-        while self.deliver.len() < chunks {
-            self.deliver.push(DeliverDelta::default());
-        }
-        let Engine { protocols, rngs, table, outcomes, deliver, pool, counters, .. } = self;
+        let Engine { protocols, rngs, table, outcomes, pool, counters, .. } = self;
         let actions: &[Action<P::Message>] = &table.actions;
         let deliver_chunk = |protos: &mut [P], rngs: &mut [SmallRng], outc: &[u32]| {
             let delta = count_outcomes(outc);
@@ -1919,12 +1913,12 @@ impl<'net, P: Protocol> Engine<'net, P> {
             .chunks_mut(len)
             .zip(rngs.chunks_mut(len))
             .zip(outcomes.chunks(len))
-            .zip(deliver.iter_mut());
-        fork(pool, threads, tasks, |(((protos, rngs), outc), delta)| {
-            **delta = deliver_chunk(protos, rngs, outc)
+            .map(|chunk| (chunk, DeliverDelta::default()));
+        let done = fork(pool, threads, tasks, |(((protos, rngs), outc), delta)| {
+            *delta = deliver_chunk(protos, rngs, outc)
         });
-        for &d in &deliver[..chunks] {
-            counters.apply(d);
+        for (_, delta) in done {
+            counters.apply(delta);
         }
         chunks
     }
