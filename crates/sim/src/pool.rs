@@ -8,9 +8,9 @@
 //! exactly what dominates wall-clock at scale. [`WorkerPool`] replaces the
 //! per-slot spawn with threads that live as long as the pool (in practice:
 //! as long as the owning [`Engine`](crate::engine::Engine)) and spend their
-//! idle time parked in the OS. The same pool serves both of the engine's
-//! parallel phases: chunked phase-1 action collection (for large `n`) and
-//! channel-sharded phase-2 resolution — one generation wake per dispatch.
+//! idle time parked in the OS. The same pool serves all three chunked
+//! phases of a sharded engine: node-range chunks in phases 1 and 3 and
+//! channel-range chunks in phase 2 — one generation wake per dispatch.
 //!
 //! # Wake protocol
 //!
