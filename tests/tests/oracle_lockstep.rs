@@ -15,7 +15,7 @@ use crn_sim::channels::ChannelModel;
 use crn_sim::topology::Topology;
 use crn_sim::{
     Action, Engine, Feedback, LocalChannel, Network, NodeId, Protocol, Resolver, SlotCtx,
-    SpectrumDynamics,
+    SpectrumDynamics, StatsMode,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -159,6 +159,74 @@ proptest! {
                 "node {} trace diverges from the oracle's own protocol instance",
                 v
             );
+        }
+    }
+}
+
+/// Above 4096 nodes the engine keeps a dense adjacency row only for hubs,
+/// so resolution takes the sparse paths a million-node run lives on:
+/// binary-search adjacency tests, listener walks without a row, and word
+/// intersections against hub-only rows. Two 6000-node shapes put them to
+/// work — a sparse Erdős–Rényi graph with no rows at all, and a dumbbell
+/// whose two hubs are the only rows — each at sparse, light and heavy
+/// traffic and under Markov churn, locked to the oracle every slot.
+/// `ListenerCentric` runs beside `Auto` and `sharded(2)` because `Auto`
+/// rarely picks the listener side on these shapes, and only the listener
+/// side scans broadcaster lists with pairwise adjacency tests; the sparse
+/// level (a handful of broadcasters per channel) is what makes a listener
+/// scan instead of walk.
+#[test]
+fn sparse_paths_above_the_dense_row_bound_match_the_oracle() {
+    let shapes = [
+        Topology::SparseErdosRenyi { n: 6000, p: 8.0 / 5999.0 },
+        Topology::Dumbbell { legs: 3000 },
+    ];
+    let traffic = [(0.003, false), (0.05, false), (0.4, false), (0.15, true)];
+    let resolvers = [Resolver::Auto, Resolver::sharded(2), Resolver::ListenerCentric];
+    for (si, topology) in shapes.iter().enumerate() {
+        let net = Network::generate_with_stats(
+            topology,
+            &ChannelModel::SharedCore { c: 3, core: 2 },
+            90 + si as u64,
+            StatsMode::Approximate,
+        )
+        .expect("scenario network must build");
+        assert!(net.len() > 4096, "the scenario must sit above the all-rows bound");
+        for (ti, &(p_bcast, markov)) in traffic.iter().enumerate() {
+            let seed = 300 + 10 * si as u64 + ti as u64;
+            let make =
+                |ctx: crn_sim::NodeCtx| Chatter { c: 3, p_bcast, id: ctx.id.0, trace: Vec::new() };
+            let mut oracle = Oracle::new(&net, seed, make);
+            let mut engines: Vec<Engine<'_, Chatter>> = resolvers
+                .iter()
+                .map(|&r| {
+                    let mut eng = Engine::with_resolver(&net, seed, r, make);
+                    if markov {
+                        eng.set_spectrum(SpectrumDynamics::MarkovOnOff {
+                            p_busy: 0.2,
+                            p_free: 0.3,
+                        });
+                    }
+                    eng
+                })
+                .collect();
+            for slot in 0..20u64 {
+                for eng in &mut engines {
+                    eng.step();
+                }
+                let spectrum = engines[0].spectrum();
+                let expected = oracle.step(|g| spectrum.is_some_and(|s| s.is_busy(g)));
+                for (eng, resolver) in engines.iter().zip(resolvers) {
+                    let tag = format!("{topology:?} p={p_bcast} markov={markov} {resolver:?}");
+                    assert_eq!(eng.counters(), oracle.counters(), "{tag}: counters, slot {slot}");
+                    for (v, want) in expected.iter().enumerate() {
+                        let got = eng.protocol(NodeId(v as u32)).trace.last().copied();
+                        assert_eq!(got, Some(*want), "{tag}: node {v} feedback, slot {slot}");
+                    }
+                }
+            }
+            assert!(oracle.counters().deliveries > 0, "{topology:?} p={p_bcast}: no deliveries");
+            assert!(oracle.counters().collisions > 0, "{topology:?} p={p_bcast}: no collisions");
         }
     }
 }
