@@ -9,8 +9,8 @@
 //! * the network footprint stays linear (no dense adjacency rows at
 //!   average degree 8 — the old eager per-node bitset alone would be
 //!   n²/8 = 1.25 GB at this size);
-//! * the engine's internal state (SoA node arrays, renumbering maps,
-//!   internal CSR, shard scratch) stays linear;
+//! * the engine's internal state (SoA node arrays, action tables, stamp
+//!   tables, shard scratch) stays linear;
 //! * the *process peak RSS* (`VmHWM`) stays under a bound that any
 //!   quadratic term blows past by an order of magnitude — this catches
 //!   transient setup spikes that a post-hoc footprint sum cannot;

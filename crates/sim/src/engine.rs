@@ -60,11 +60,11 @@
 //!   scratch arrays (no per-slot `O(n)` clears). Cost `Σ_b deg(b)`; wins on
 //!   dense channels with many listeners (epidemic dissemination workloads).
 //! * **Listener-centric probe** — per listener, the cheapest of: scanning
-//!   the channel's broadcaster list with `O(1)` adjacency-bit tests,
-//!   walking its own CSR slice against epoch-stamped broadcaster marks, or
-//!   intersecting its adjacency row with the channel's broadcaster bit set
-//!   word-by-word ([`BitSet::intersect_unique`]) — each with early exit at
-//!   the second hit (a collision is a collision).
+//!   the channel's broadcaster list with pairwise adjacency tests, walking
+//!   its own CSR slice against the channel's broadcaster bit set, or
+//!   intersecting its adjacency row with that bit set word-by-word
+//!   ([`BitSet::intersect_unique`]) — each with early exit at the second
+//!   hit (a collision is a collision).
 //! * The [`Resolver::Auto`] heuristic compares `Σ_b deg(b)` (weighted for
 //!   its scattered writes) against the summed per-listener probe bound
 //!   `Σ_l min(B, deg(l), n/64)` and picks the cheaper side for each channel
@@ -80,21 +80,17 @@
 //! channel) streams of [`Engine::channel_rng`], which are keyed by what is
 //! being resolved rather than by visit order, preserving that invariant.
 //!
-//! # Internal renumbering and memory layout
+//! # Adjacency and memory layout
 //!
-//! At construction the engine relabels nodes internally ([`Renumbering`],
-//! default degree-sorted) and copies the network graph into a private
-//! internal-id CSR with dense bit rows for hub nodes. Phase 2 runs entirely
-//! on internal ids — hot rows pack into adjacent cache lines, which is what
-//! keeps neighbor probes local at n = 10⁶ — and outcomes are written back
-//! through the inverse permutation. Protocols, per-node RNG streams, action
-//! collection, and feedback delivery stay keyed by external [`NodeId`]s, so
-//! renumbering is observationally invisible (proven bit-identically by the
-//! permutation differential in `tests/`). Per-node outcome state is a
-//! packed `u32` array rather than an enum array, and when `c` is small the
-//! `Auto` strategy fuses the listener pass across a chunk's channels: one
-//! marking sweep tags every broadcaster with its channel, and each listener
-//! walk checks tags instead of rebuilding a per-channel broadcaster bit set.
+//! Phase 2 reads the network's own adjacency, in the same [`NodeId`]s that
+//! protocols, RNG streams, collection and delivery use: CSR walks go
+//! through [`Network::neighbor_slice`], and word intersections and pairwise
+//! tests through [`Network::adjacency_row`], which exists for nodes of
+//! degree `≥ max(64, n/64)`. The engine copies no graph. Its only
+//! adjacency state is a dense row for every node at `n ≤ 4096` (≤ 2 MiB),
+//! which keeps every pairwise test of the listener scan an `O(1)` probe.
+//! Buckets hold node ids, and resolution writes each listener's packed
+//! `u32` outcome in place.
 
 use crate::bitset::{BitSet, Intersection};
 use crate::ids::{GlobalChannel, LocalChannel, NodeId, Slot};
@@ -107,27 +103,12 @@ use crate::rng::{channel_slot_rng, stream_rng};
 use crate::spectrum::{SpectrumDynamics, SpectrumState};
 use rand::rngs::SmallRng;
 
-/// Channels-per-node bound at or below which the `Auto` strategy may fuse
-/// the listener pass across a chunk's touched channels;
-/// see [`mark_broadcast_channels`].
-const FUSED_MAX_C: usize = 8;
-
-/// Average per-channel bucket population (broadcasters + listeners) at or
-/// below which the fused pass actually engages. Fusion trades the
-/// per-channel broadcaster-set build/teardown (a fixed cost per touched
-/// channel) for heavier per-probe tag loads on every listener walk
-/// (`mark_epoch` + `hit_src`, 12 bytes, vs one bit in a channel-local,
-/// L1-resident set). That trade only wins when channels are numerous and
-/// nearly empty — with well-populated buckets the walk term dominates and
-/// fusion measured ~40% *slower* on the `small_slot_200` and
-/// `dense_broadcast_5000` bench shapes, so the gate is deliberately tight.
-const FUSED_MAX_AVG_BUCKET: usize = 16;
-
-/// Node count at or below which [`IntGraph`] keeps a dense adjacency row
-/// for *every* node rather than only above the degree threshold. The full
-/// bit matrix costs n²/8 bytes — ≤ 2 MiB at this bound — and keeps every
-/// pairwise adjacency test an O(1) probe, which the listener scan path
-/// (and the `Naive` reference resolver) lean on heavily at small n.
+/// Node count at or below which the engine keeps a dense adjacency row
+/// for *every* node, on top of the network's rows for nodes above the
+/// degree threshold. The full bit matrix costs n²/8 bytes — ≤ 2 MiB at
+/// this bound — and keeps every pairwise adjacency test an O(1) probe,
+/// which the listener scan path (and the `Naive` reference resolver) lean
+/// on heavily at small n.
 const DENSE_ALL_MAX_N: usize = 4096;
 
 /// Aggregate event counters for a run, useful for energy/traffic accounting
@@ -308,17 +289,12 @@ pub struct Engine<'net, P: Protocol> {
     /// node's chunk-local touched list, with [`BCAST_BIT`] for
     /// broadcasters, or [`SLEEPING`].
     node_plan: Vec<u32>,
-    /// Per-node packed resolution results for the current slot (external
-    /// node order; see [`OC_MIN_SENTINEL`]).
+    /// Per-node packed resolution results for the current slot (see
+    /// [`OC_MIN_SENTINEL`]).
     outcomes: Vec<u32>,
-    /// The active renumbering (see [`Renumbering`]).
-    renumbering: Renumbering,
-    /// `ext2int[external] = internal` under the active renumbering.
-    ext2int: Vec<u32>,
-    /// `int2ext[internal] = external` (inverse of `ext2int`).
-    int2ext: Vec<u32>,
-    /// Internal-id adjacency view phase 2 resolves against.
-    ig: IntGraph,
+    /// Every node's dense adjacency row at `n ≤ DENSE_ALL_MAX_N`; empty
+    /// above, where phase 2 uses the network's hub rows alone.
+    dense_rows: Vec<BitSet>,
     /// The slot's channel-bucketed action table. A one-chunk phase 1
     /// writes it directly; a multi-chunk one merges `chunk_tables` into it.
     /// Heard messages are delivered by reference out of its action buffer.
@@ -475,10 +451,9 @@ const SLEEPING: u32 = u32::MAX;
 /// Per-node resolution results are packed into one `u32` each — the
 /// struct-of-arrays layout the million-node path needs (half the bytes and
 /// no discriminant branch in the scatter loops). Values below
-/// [`OC_MIN_SENTINEL`] mean `Heard(broadcaster)`: an *internal* id while a
-/// channel is being resolved, converted to the external id at the final
-/// write into `Engine::outcomes` so the delivery phase can borrow the
-/// message straight out of the action buffer.
+/// [`OC_MIN_SENTINEL`] mean `Heard(broadcaster)`, by node id, so the
+/// delivery phase can borrow the message straight out of the action
+/// buffer.
 ///
 /// The packing is public API since batched delivery
 /// ([`Protocol::feedback_batch`]) hands protocols the raw array; the
@@ -493,176 +468,63 @@ const OC_COLLISION: u32 = outcome::COLLISION;
 const OC_PU_BUSY: u32 = outcome::PU_BUSY;
 const OC_MIN_SENTINEL: u32 = outcome::MIN_SENTINEL;
 
-/// How the engine relabels nodes internally for phase-2 cache locality.
-///
-/// Renumbering is *observationally invisible*: protocols, per-node RNG
-/// streams, feedback order, counters, and outputs are all keyed by the
-/// external [`NodeId`]s; only the engine-private CSR copy that resolution
-/// walks is relabeled, and outcomes are written back through the inverse
-/// permutation. The permutation differential in `tests/` proves
-/// bit-identity against [`Renumbering::Identity`] under every resolver and
-/// thread count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Renumbering {
-    /// Hubs first: internal ids in descending external degree, ties by
-    /// ascending external id. The rows every CSR probe keeps landing on
-    /// pack into the first cache lines of the internal adjacency arrays.
-    /// The default.
-    #[default]
-    DegreeSorted,
-    /// Internal ids equal external ids (the pre-renumbering layout).
-    Identity,
-    /// Explicit permutation, `perm[external] = internal`. Must be a
-    /// permutation of `0..n` (checked at construction); this is how the
-    /// permutation-differential tests drive arbitrary relabelings.
-    Custom(Vec<u32>),
+/// Phase 2's view of the adjacency: the network's CSR slices and
+/// degree-thresholded rows, plus the engine's all-node rows at
+/// `n ≤ DENSE_ALL_MAX_N` (`dense` is empty above).
+#[derive(Clone, Copy)]
+struct Adjacency<'a> {
+    net: &'a Network,
+    dense: &'a [BitSet],
 }
 
-/// Builds `(ext2int, int2ext)` for a renumbering.
-///
-/// # Panics
-/// Panics if a [`Renumbering::Custom`] vector is not a permutation of
-/// `0..n`.
-fn renumber_perm(net: &Network, r: &Renumbering) -> (Vec<u32>, Vec<u32>) {
+impl<'a> Adjacency<'a> {
+    #[inline]
+    fn neighbor_slice(self, v: u32) -> &'a [u32] {
+        self.net.neighbor_slice(NodeId(v))
+    }
+
+    /// `v`'s dense row: the engine's own at small n, else the network's
+    /// (hubs only).
+    #[inline]
+    fn row(self, v: u32) -> Option<&'a BitSet> {
+        self.dense.get(v as usize).or_else(|| self.net.adjacency_row(NodeId(v)))
+    }
+
+    /// `true` if `u` and `v` are adjacent: a row probe at small n, else
+    /// [`Network::are_neighbors`] (a hub's row, or a binary search of the
+    /// shorter CSR slice).
+    #[inline]
+    fn are(self, u: u32, v: u32) -> bool {
+        match self.dense.get(u as usize) {
+            Some(row) => row.contains(v as usize),
+            None => self.net.are_neighbors(NodeId(u), NodeId(v)),
+        }
+    }
+}
+
+/// Every node's dense adjacency row when `n ≤ DENSE_ALL_MAX_N`, none above.
+fn dense_rows(net: &Network) -> Vec<BitSet> {
     let n = net.len();
-    let g = net.graph();
-    let int2ext: Vec<u32> = match r {
-        Renumbering::Identity => (0..n as u32).collect(),
-        Renumbering::DegreeSorted => {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                g.degree(b as usize).cmp(&g.degree(a as usize)).then(a.cmp(&b))
-            });
-            order
-        }
-        Renumbering::Custom(perm) => {
-            assert_eq!(perm.len(), n, "renumbering permutation must cover all {n} nodes");
-            let mut int2ext = vec![u32::MAX; n];
-            for (ext, &int) in perm.iter().enumerate() {
-                assert!((int as usize) < n, "renumbering target {int} out of range");
-                let slot = &mut int2ext[int as usize];
-                assert_eq!(*slot, u32::MAX, "renumbering maps two nodes to internal id {int}");
-                *slot = ext as u32;
+    if n > DENSE_ALL_MAX_N {
+        return Vec::new();
+    }
+    (0..n as u32)
+        .map(|v| {
+            let mut bits = BitSet::new(n);
+            for &w in net.neighbor_slice(NodeId(v)) {
+                bits.insert(w as usize);
             }
-            int2ext
-        }
-    };
-    let mut ext2int = vec![0u32; n];
-    for (int, &ext) in int2ext.iter().enumerate() {
-        ext2int[ext as usize] = int as u32;
-    }
-    (ext2int, int2ext)
-}
-
-/// The engine-private adjacency view in internal-id space: a CSR copy of
-/// the network graph relabeled by the active [`Renumbering`] (neighbor
-/// slices sorted ascending by internal id), plus dense bit rows for nodes
-/// whose degree crosses the same `max(64, n/64)` threshold the network's
-/// index uses — `O(n + m)` memory overall. All of phase 2 runs on internal
-/// ids against this structure; external ids reappear only when outcomes
-/// are written back.
-struct IntGraph {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    /// Per internal node: index into `rows`, or `u32::MAX`.
-    row_of: Vec<u32>,
-    rows: Vec<BitSet>,
-}
-
-impl IntGraph {
-    fn build(net: &Network, ext2int: &[u32], int2ext: &[u32]) -> IntGraph {
-        let n = net.len();
-        let g = net.graph();
-        let mut offsets = vec![0u32; n + 1];
-        for v in 0..n {
-            offsets[ext2int[v] as usize + 1] = g.degree(v) as u32;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        // Transpose-style fill: visiting internal ids in ascending order and
-        // appending each to all of its neighbors' rows (adjacency is
-        // symmetric) leaves every row sorted — O(n + m), no per-row sort,
-        // which keeps engine construction cheap under arbitrary
-        // renumberings (a comparison sort here tripled construction time at
-        // n = 5000).
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; offsets[n] as usize];
-        for ti in 0..n as u32 {
-            for &w in g.neighbors(int2ext[ti as usize] as usize) {
-                let row = ext2int[w as usize] as usize;
-                targets[cursor[row] as usize] = ti;
-                cursor[row] += 1;
-            }
-        }
-        // Below `DENSE_ALL_MAX_N` the full bit matrix costs at most n²/8
-        // ≤ 2 MiB, so every node gets a row and every adjacency test is an
-        // O(1) probe — the degree threshold only starts to matter at scales
-        // where the quadratic matrix would dominate memory.
-        let threshold = if n <= DENSE_ALL_MAX_N { 0 } else { ((n / 64).max(64)) as u32 };
-        let mut row_of = vec![u32::MAX; n];
-        let mut rows = Vec::new();
-        for v in 0..n {
-            if offsets[v + 1] - offsets[v] >= threshold {
-                let mut bits = BitSet::new(n);
-                for &w in &targets[offsets[v] as usize..offsets[v + 1] as usize] {
-                    bits.insert(w as usize);
-                }
-                row_of[v] = u32::try_from(rows.len()).expect("row count fits u32");
-                rows.push(bits);
-            }
-        }
-        IntGraph { offsets, targets, row_of, rows }
-    }
-
-    #[inline]
-    fn neighbor_slice(&self, v: u32) -> &[u32] {
-        &self.targets[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
-    }
-
-    #[inline]
-    fn degree(&self, v: u32) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
-    }
-
-    #[inline]
-    fn row(&self, v: u32) -> Option<&BitSet> {
-        match self.row_of[v as usize] {
-            u32::MAX => None,
-            r => Some(&self.rows[r as usize]),
-        }
-    }
-
-    /// `true` if internal nodes `u` and `v` are adjacent: dense-row probe
-    /// when either endpoint has one, else a binary search of the shorter
-    /// CSR slice.
-    #[inline]
-    fn are(&self, u: u32, v: u32) -> bool {
-        if let Some(row) = self.row(u) {
-            return row.contains(v as usize);
-        }
-        if let Some(row) = self.row(v) {
-            return row.contains(u as usize);
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.neighbor_slice(a).binary_search(&b).is_ok()
-    }
-
-    /// Heap bytes of the internal view — reported next to the network
-    /// footprint in the huge-sparse bench row.
-    fn memory_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.targets.capacity() + self.row_of.capacity())
-            * std::mem::size_of::<u32>()
-            + self.rows.iter().map(|b| b.words().len() * 8).sum::<usize>()
-    }
+            bits
+        })
+        .collect()
 }
 
 /// Epoch-stamped per-thread resolution scratch. Sized to the node count;
 /// nothing in it is ever bulk-cleared (a stamp comparison makes stale cells
 /// invisible), so shards pay O(work) rather than O(n) per channel.
 struct Scratch {
-    /// Epoch stamps for `hit_count`/`hit_src` (broadcaster-centric) or for
-    /// broadcaster marks (listener-centric).
+    /// Epoch stamps marking the channel's listeners, whose `hit_count` and
+    /// `hit_src` cells the broadcaster-centric sweep accumulates into.
     mark_epoch: Vec<u64>,
     hit_count: Vec<u32>,
     hit_src: Vec<u32>,
@@ -692,10 +554,9 @@ impl Scratch {
 
 /// One phase-2 chunk's long-lived resolution state: the epoch-stamped
 /// [`Scratch`] plus, in a multi-chunk slot, the outcome buffer the chunk
-/// resolves into (listener-position order, internal `Heard` ids; scattered
-/// into the engine's outcomes after the join). Chunk 0 runs on the calling
-/// thread; chunks `1..` are handed to pool workers, each mutating only its
-/// own slot.
+/// resolves into (listener-position order; scattered into the engine's
+/// outcomes after the join). Chunk 0 runs on the calling thread; chunks
+/// `1..` are handed to pool workers, each mutating only its own slot.
 struct ShardSlot {
     scratch: Scratch,
     out: Vec<u32>,
@@ -710,7 +571,7 @@ impl ShardSlot {
 /// A node range's channel-bucketed action table: the range's actions in
 /// node order, the dense channels it touched in first-touch order, and
 /// its broadcasters and listeners grouped by touched channel (CSR layout,
-/// internal ids, ascending node order within each group).
+/// ascending node order within each group).
 struct Table<M> {
     actions: Vec<Action<M>>,
     touched: Vec<u32>,
@@ -863,7 +724,6 @@ fn collect_chunk<P: Protocol>(
     slot: Slot,
     base: usize,
     xlate: &[u32],
-    ext2int: &[u32],
     c: usize,
     protos: &mut [P],
     rngs: &mut [SmallRng],
@@ -908,13 +768,13 @@ fn collect_chunk<P: Protocol>(
     st.tally = tally;
 
     // Counting-sort scatter into the buckets: ascending node order within
-    // each group by construction. Buckets hold *internal* ids.
+    // each group by construction.
     table.lay_out(&mut st.b_cnt, &mut st.l_cnt);
     for (i, &packed) in node_plan.iter().enumerate() {
         if packed == SLEEPING {
             continue;
         }
-        let v = ext2int[base + i];
+        let v = (base + i) as u32;
         if packed & BCAST_BIT != 0 {
             let ti = (packed & !BCAST_BIT) as usize;
             table.b_nodes[st.b_cnt[ti] as usize] = v;
@@ -1002,25 +862,15 @@ fn fork<T: Send>(
     tasks
 }
 
-/// A packed outcome with a `Heard` id mapped from internal to external.
-#[inline]
-fn external(int2ext: &[u32], oc: u32) -> u32 {
-    if oc < OC_MIN_SENTINEL {
-        int2ext[oc as usize]
-    } else {
-        oc
-    }
-}
-
 /// `Σ_v min(deg(v), cap)` over `nodes`, estimated from at most 32
 /// evenly-strided samples (exact below that). Deterministic — no RNG, no
 /// dependence on thread count — so the `Auto` choice it feeds stays
 /// reproducible; and since every strategy is observationally identical,
 /// the approximation can only ever change *speed*, never results.
-fn approx_degree_sum(ig: &IntGraph, nodes: &[u32], cap: usize) -> usize {
+fn approx_degree_sum(net: &Network, nodes: &[u32], cap: usize) -> usize {
     const SAMPLE: usize = 32;
     if nodes.len() <= SAMPLE {
-        nodes.iter().map(|&v| ig.degree(v).min(cap)).sum()
+        nodes.iter().map(|&v| net.degree(NodeId(v)).min(cap)).sum()
     } else {
         // Ceiling stride so the samples span the whole bucket — a floor
         // stride of 1 for lengths in (SAMPLE, 2·SAMPLE) would sample only
@@ -1028,19 +878,20 @@ fn approx_degree_sum(ig: &IntGraph, nodes: &[u32], cap: usize) -> usize {
         // star-like scenarios).
         let stride = nodes.len().div_ceil(SAMPLE);
         let taken = nodes.len().div_ceil(stride);
-        let sampled: usize = nodes.iter().step_by(stride).map(|&v| ig.degree(v).min(cap)).sum();
+        let sampled: usize =
+            nodes.iter().step_by(stride).map(|&v| net.degree(NodeId(v)).min(cap)).sum();
         sampled * nodes.len() / taken
     }
 }
 
 /// One listener's scan over a channel broadcaster list (shared by the
-/// naive reference resolver and the adaptive listener paths). Internal ids.
+/// naive reference resolver and the adaptive listener paths).
 #[inline]
-fn scan_listener(ig: &IntGraph, bcasters: &[u32], l: u32) -> u32 {
+fn scan_listener(adj: Adjacency<'_>, bcasters: &[u32], l: u32) -> u32 {
     let mut heard_from = 0u32;
     let mut adjacent = 0u32;
     for &b in bcasters {
-        if ig.are(l, b) {
+        if adj.are(l, b) {
             adjacent += 1;
             if adjacent > 1 {
                 break;
@@ -1055,77 +906,12 @@ fn scan_listener(ig: &IntGraph, bcasters: &[u32], l: u32) -> u32 {
     }
 }
 
-/// Marks every broadcaster of touched channels `lo..hi` with its channel
-/// index under a fresh scratch epoch — one pass over the bucket range,
-/// valid for the whole range because a node broadcasts on at most one
-/// channel per slot and only *listeners* are ever re-stamped by the
-/// broadcaster-centric sweep (disjoint node sets). Enables the fused
-/// listener walk of [`resolve_listener_fused`]. Returns the epoch.
-fn mark_broadcast_channels(
-    scratch: &mut Scratch,
-    b_off: &[u32],
-    bcast_nodes: &[u32],
-    lo: usize,
-    hi: usize,
-) -> u64 {
-    scratch.epoch += 1;
-    let epoch = scratch.epoch;
-    for ti in lo..hi {
-        for &b in &bcast_nodes[b_off[ti] as usize..b_off[ti + 1] as usize] {
-            scratch.mark_epoch[b as usize] = epoch;
-            scratch.hit_src[b as usize] = ti as u32;
-        }
-    }
-    epoch
-}
-
-/// Fused listener probe for one channel: per listener, the cheaper of
-/// scanning the channel's broadcaster list and walking its own CSR slice
-/// against the slot-wide `(epoch, channel)` marks laid down by
-/// [`mark_broadcast_channels`] — no per-channel broadcaster-set build or
-/// teardown. Early exit at the second hit, as everywhere.
-fn resolve_listener_fused(
-    ig: &IntGraph,
-    scratch: &Scratch,
-    epoch: u64,
-    tag: u32,
-    bcasters: &[u32],
-    listeners: &[u32],
-    emit: &mut impl FnMut(usize, u32, u32),
-) {
-    let nb = bcasters.len();
-    for (pos, &l) in listeners.iter().enumerate() {
-        let neighbors = ig.neighbor_slice(l);
-        let outcome = if nb <= neighbors.len() {
-            scan_listener(ig, bcasters, l)
-        } else {
-            let mut count = 0u32;
-            let mut src = 0u32;
-            for &w in neighbors {
-                let hit = (scratch.mark_epoch[w as usize] == epoch
-                    && scratch.hit_src[w as usize] == tag) as u32;
-                src = if count == 0 && hit != 0 { w } else { src };
-                count += hit;
-                if count >= 2 {
-                    break;
-                }
-            }
-            match count {
-                0 => OC_IDLE,
-                1 => src,
-                _ => OC_COLLISION,
-            }
-        };
-        emit(pos, l, outcome);
-    }
-}
-
 /// Broadcaster-centric sweep: stamp the channel's listeners with a fresh
 /// epoch, then walk each broadcaster's CSR neighbor slice once,
 /// accumulating hit counts only in stamped cells. `O(L + Σ_b deg(b))`,
 /// independent of how many listeners each broadcaster reaches.
 fn resolve_broadcaster_centric(
-    ig: &IntGraph,
+    adj: Adjacency<'_>,
     scratch: &mut Scratch,
     bcasters: &[u32],
     listeners: &[u32],
@@ -1138,7 +924,7 @@ fn resolve_broadcaster_centric(
         scratch.hit_count[l as usize] = 0;
     }
     for &b in bcasters {
-        for &w in ig.neighbor_slice(b) {
+        for &w in adj.neighbor_slice(b) {
             let w = w as usize;
             if scratch.mark_epoch[w] == epoch {
                 scratch.hit_count[w] += 1;
@@ -1172,7 +958,7 @@ fn resolve_broadcaster_centric(
 ///    (cost ≤ `n/64` words, best for high-degree listeners on channels
 ///    with many broadcasters).
 fn resolve_listener_centric(
-    ig: &IntGraph,
+    adj: Adjacency<'_>,
     scratch: &mut Scratch,
     bcasters: &[u32],
     listeners: &[u32],
@@ -1186,16 +972,16 @@ fn resolve_listener_centric(
         scratch.bcast_bits.insert(b as usize);
     }
     for (pos, &l) in listeners.iter().enumerate() {
-        let neighbors = ig.neighbor_slice(l);
+        let neighbors = adj.neighbor_slice(l);
         let d = neighbors.len();
         // Dense rows only exist above the degree threshold; a listener in
         // the (rare) `words < d < threshold` band without one takes the
         // cheaper of the two remaining tests — any choice is
         // observationally identical.
-        let has_row = ig.row(l).is_some();
-        let outcome = if nb <= d && (nb <= words || !has_row) {
-            scan_listener(ig, bcasters, l)
-        } else if d <= words || !has_row {
+        let row = adj.row(l);
+        let outcome = if nb <= d && (nb <= words || row.is_none()) {
+            scan_listener(adj, bcasters, l)
+        } else if d <= words || row.is_none() {
             // Walk the listener's own neighbors against the bit set,
             // probing the backing words directly (the slice borrow keeps
             // the base pointer in a register across the walk). Hits are
@@ -1219,8 +1005,7 @@ fn resolve_listener_centric(
                 _ => OC_COLLISION,
             }
         } else {
-            let row = ig.row(l).expect("checked above");
-            match row.intersect_unique(&scratch.bcast_bits) {
+            match row.expect("checked above").intersect_unique(&scratch.bcast_bits) {
                 Intersection::Empty => OC_IDLE,
                 Intersection::Unique(b) => b as u32,
                 Intersection::Many => OC_COLLISION,
@@ -1234,17 +1019,12 @@ fn resolve_listener_centric(
 }
 
 /// Resolves one channel with a *sequential* strategy, emitting
-/// `(position-in-listener-list, listener, outcome)` triples (internal ids,
-/// packed outcomes). The caller guarantees both populations are non-empty.
-/// When `fused` carries the `(epoch, channel-tag)` of a
-/// [`mark_broadcast_channels`] sweep covering this channel, the `Auto`
-/// listener side uses the fused walk instead of building a per-channel
-/// broadcaster set.
+/// `(position-in-listener-list, listener, outcome)` triples (packed
+/// outcomes). The caller guarantees both populations are non-empty.
 fn resolve_channel_into(
-    ig: &IntGraph,
+    adj: Adjacency<'_>,
     scratch: &mut Scratch,
     strategy: Resolver,
-    fused: Option<(u64, u32)>,
     bcasters: &[u32],
     listeners: &[u32],
     emit: &mut impl FnMut(usize, u32, u32),
@@ -1253,14 +1033,14 @@ fn resolve_channel_into(
     match strategy {
         Resolver::Naive => {
             for (pos, &l) in listeners.iter().enumerate() {
-                emit(pos, l, scan_listener(ig, bcasters, l));
+                emit(pos, l, scan_listener(adj, bcasters, l));
             }
         }
         Resolver::BroadcasterCentric => {
-            resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
+            resolve_broadcaster_centric(adj, scratch, bcasters, listeners, emit)
         }
         Resolver::ListenerCentric => {
-            resolve_listener_centric(ig, scratch, bcasters, listeners, emit)
+            resolve_listener_centric(adj, scratch, bcasters, listeners, emit)
         }
         Resolver::Auto => {
             // Broadcaster side: one pass over all broadcasters' neighbor
@@ -1273,25 +1053,14 @@ fn resolve_channel_into(
             // random read per node — a measurable slice of dense slots.
             // (Any choice is observationally identical, so sampling can
             // never change results.)
-            let d_b = approx_degree_sum(ig, bcasters, usize::MAX);
             let nb = bcasters.len();
-            let bcast_cost = listeners.len() + 2 * d_b;
-            if let Some((epoch, tag)) = fused {
-                let listen_cost = approx_degree_sum(ig, listeners, nb);
-                if bcast_cost <= listen_cost {
-                    resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
-                } else {
-                    resolve_listener_fused(ig, scratch, epoch, tag, bcasters, listeners, emit)
-                }
+            let bcast_cost = listeners.len() + 2 * approx_degree_sum(adj.net, bcasters, usize::MAX);
+            let words = scratch.bcast_bits.words().len().max(1);
+            let listen_cost = 2 * nb + approx_degree_sum(adj.net, listeners, nb.min(words));
+            if bcast_cost <= listen_cost {
+                resolve_broadcaster_centric(adj, scratch, bcasters, listeners, emit)
             } else {
-                let words = scratch.bcast_bits.words().len().max(1);
-                let per_listener_cap = nb.min(words);
-                let listen_cost = 2 * nb + approx_degree_sum(ig, listeners, per_listener_cap);
-                if bcast_cost <= listen_cost {
-                    resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
-                } else {
-                    resolve_listener_centric(ig, scratch, bcasters, listeners, emit)
-                }
+                resolve_listener_centric(adj, scratch, bcasters, listeners, emit)
             }
         }
         Resolver::ParallelSharded { .. } => {
@@ -1302,45 +1071,28 @@ fn resolve_channel_into(
 
 /// Phase-2 body for touched channels `lo..hi` of `table`: resolves each
 /// with `strategy` and emits `(position in the range's listener list,
-/// listener, outcome)` triples (internal ids, packed outcomes). A PU-busy
-/// channel swallows its broadcasts and every listener on it hears noise,
-/// even with no broadcaster (the primary user itself occupies the medium);
-/// a channel with no broadcaster leaves its listeners' provisional `Idle`.
-///
-/// With `Auto` on many near-empty channels, one marking pass over the
-/// range lets every listener-side probe run against `(epoch, channel)`
-/// tags instead of a per-channel broadcaster set (the fused listener pass).
-/// With populated buckets the per-probe tag loads cost more than the
-/// per-channel set builds they avoid — see [`FUSED_MAX_AVG_BUCKET`]. Tags
-/// are absolute channel indices, so chunks never alias each other's marks.
-#[allow(clippy::too_many_arguments)]
+/// listener, outcome)` triples (packed outcomes). A PU-busy channel
+/// swallows its broadcasts and every listener on it hears noise, even with
+/// no broadcaster (the primary user itself occupies the medium); a channel
+/// with no broadcaster leaves its listeners' provisional `Idle`.
 fn resolve_range<M>(
-    ig: &IntGraph,
+    adj: Adjacency<'_>,
     scratch: &mut Scratch,
     strategy: Resolver,
-    c: usize,
     busy: Option<&BitSet>,
     table: &Table<M>,
     (lo, hi): (usize, usize),
     emit: &mut impl FnMut(usize, u32, u32),
 ) {
-    let Table { touched, b_off, l_off, b_nodes, .. } = table;
-    let active = (b_off[hi] - b_off[lo] + l_off[hi] - l_off[lo]) as usize;
-    let fused_epoch = (strategy == Resolver::Auto
-        && hi - lo >= 2
-        && c <= FUSED_MAX_C
-        && active <= FUSED_MAX_AVG_BUCKET * (hi - lo))
-        .then(|| mark_broadcast_channels(scratch, b_off, b_nodes, lo, hi));
     let mut base = 0usize;
-    for (ti, &ch) in (lo..hi).zip(&touched[lo..hi]) {
+    for (ti, &ch) in (lo..hi).zip(&table.touched[lo..hi]) {
         let (bs, ls) = (table.broadcasters(ti), table.listeners(ti));
         if busy.is_some_and(|m| m.contains(ch as usize)) {
             for (pos, &l) in ls.iter().enumerate() {
                 emit(base + pos, l, OC_PU_BUSY);
             }
         } else if !bs.is_empty() && !ls.is_empty() {
-            let fused = fused_epoch.map(|e| (e, ti as u32));
-            resolve_channel_into(ig, scratch, strategy, fused, bs, ls, &mut |pos, l, oc| {
+            resolve_channel_into(adj, scratch, strategy, bs, ls, &mut |pos, l, oc| {
                 emit(base + pos, l, oc)
             });
         }
@@ -1363,19 +1115,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
         net: &'net Network,
         seed: u64,
         resolver: Resolver,
-        make: impl FnMut(NodeCtx) -> P,
-    ) -> Self {
-        Engine::with_renumbering(net, seed, resolver, Renumbering::default(), make)
-    }
-
-    /// Like [`Engine::with_resolver`] but with an explicit internal
-    /// [`Renumbering`] — all renumberings are observationally identical, so
-    /// this is a performance/testing knob, not a semantic one.
-    pub fn with_renumbering(
-        net: &'net Network,
-        seed: u64,
-        resolver: Resolver,
-        renumbering: Renumbering,
         mut make: impl FnMut(NodeCtx) -> P,
     ) -> Self {
         let n = net.len();
@@ -1422,8 +1161,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
             .map(|v| make(NodeCtx { id: NodeId(v as u32), num_channels: c as u16 }))
             .collect();
         let rngs = (0..n).map(|v| stream_rng(seed, v as u64)).collect();
-        let (ext2int, int2ext) = renumber_perm(net, &renumbering);
-        let ig = IntGraph::build(net, &ext2int, &int2ext);
         Engine {
             net,
             protocols,
@@ -1438,10 +1175,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
             spectrum: None,
             node_plan: vec![SLEEPING; n],
             outcomes: vec![OC_IDLE; n],
-            renumbering,
-            ext2int,
-            int2ext,
-            ig,
+            dense_rows: dense_rows(net),
             table: Table::new(),
             chunk_tables: Vec::new(),
             stamps: vec![Stamps::new(universe)],
@@ -1541,14 +1275,9 @@ impl<'net, P: Protocol> Engine<'net, P> {
         self.phase_timings
     }
 
-    /// The active internal [`Renumbering`].
-    pub fn renumbering(&self) -> &Renumbering {
-        &self.renumbering
-    }
-
-    /// Heap bytes of every buffer the engine owns: the internal CSR and
-    /// dense rows, the translation tables, permutations, per-node RNG
-    /// streams, plans and packed outcomes, the slot's action table, and
+    /// Heap bytes of every buffer the engine owns: the all-node dense rows
+    /// of a small network, the translation tables, per-node RNG streams,
+    /// plans and packed outcomes, the slot's action table, and
     /// the per-chunk scratch of phases 1 and 2 — chunk tables and stamp
     /// tables, and resolution scratch (`≈ 16 B/node` per chunk plus a bit
     /// set and an outcome buffer).
@@ -1559,11 +1288,9 @@ impl<'net, P: Protocol> Engine<'net, P> {
     /// run, since the per-chunk scratch is allocated on first use and is
     /// `O(n · threads)`.
     pub fn internal_memory_bytes(&self) -> usize {
-        self.ig.memory_bytes()
+        self.dense_rows.iter().map(|b| b.words().len() * 8).sum::<usize>()
             + (self.xlate.capacity()
                 + self.dense_to_raw.capacity()
-                + self.ext2int.capacity()
-                + self.int2ext.capacity()
                 + self.node_plan.capacity()
                 + self.outcomes.capacity())
                 * 4
@@ -1750,7 +1477,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
             node_plan,
             outcomes,
             xlate,
-            ext2int,
             c,
             table,
             chunk_tables,
@@ -1759,12 +1485,10 @@ impl<'net, P: Protocol> Engine<'net, P> {
             counters,
             ..
         } = self;
-        let (c, xlate, ext2int) = (*c, &xlate[..], &ext2int[..]);
+        let (c, xlate) = (*c, &xlate[..]);
         if chunks == 1 {
             let st = &mut stamps[0];
-            collect_chunk(
-                slot, 0, xlate, ext2int, c, protocols, rngs, node_plan, outcomes, table, st,
-            );
+            collect_chunk(slot, 0, xlate, c, protocols, rngs, node_plan, outcomes, table, st);
         } else {
             let tasks = protocols
                 .chunks_mut(len)
@@ -1774,7 +1498,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
                 .zip(chunk_tables.iter_mut().zip(stamps.iter_mut()))
                 .enumerate();
             fork(pool, threads, tasks, |(i, ((((protos, rngs), plan), outc), (tab, st)))| {
-                collect_chunk(slot, *i * len, xlate, ext2int, c, protos, rngs, plan, outc, tab, st)
+                collect_chunk(slot, *i * len, xlate, c, protos, rngs, plan, outc, tab, st)
             });
             merge_tables(table, &mut chunk_tables[..chunks], &mut stamps[0]);
         }
@@ -1811,21 +1535,20 @@ impl<'net, P: Protocol> Engine<'net, P> {
         }
         let strategy = self.resolver.per_channel();
         let Engine {
-            ig, int2ext, c, table, shards, shard_bounds, outcomes, pool, spectrum, ..
+            net, dense_rows, table, shards, shard_bounds, outcomes, pool, spectrum, ..
         } = self;
-        let (ig, int2ext, table, c): (&IntGraph, &[u32], &Table<P::Message>, usize) =
-            (ig, int2ext, table, *c);
+        let adj = Adjacency { net, dense: dense_rows };
+        let table: &Table<P::Message> = table;
         let busy = spectrum.as_ref().map(SpectrumState::mask);
         if chunks == 1 {
             resolve_range(
-                ig,
+                adj,
                 &mut shards[0].scratch,
                 strategy,
-                c,
                 busy,
                 table,
                 (0, t),
-                &mut |_, l, oc| outcomes[int2ext[l as usize] as usize] = external(int2ext, oc),
+                &mut |_, l, oc| outcomes[l as usize] = oc,
             );
             return 1;
         }
@@ -1837,10 +1560,9 @@ impl<'net, P: Protocol> Engine<'net, P> {
             shard.out.resize(listeners, OC_IDLE);
             let out = &mut shard.out;
             resolve_range(
-                ig,
+                adj,
                 &mut shard.scratch,
                 strategy,
-                c,
                 busy,
                 table,
                 (lo, hi),
@@ -1850,7 +1572,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
         for (&(lo, hi), shard) in shard_bounds.iter().zip(&shards[..chunks]) {
             let ls = &table.l_nodes[table.l_off[lo] as usize..table.l_off[hi] as usize];
             for (&l, &oc) in ls.iter().zip(&shard.out) {
-                outcomes[int2ext[l as usize] as usize] = external(int2ext, oc);
+                outcomes[l as usize] = oc;
             }
         }
         chunks
@@ -1865,7 +1587,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
         for ti in 0..t {
             let bs = self.table.broadcasters(ti);
             let nl = self.table.listeners(ti).len() as u64;
-            self.shard_weights.push(1 + nl + approx_degree_sum(&self.ig, bs, usize::MAX) as u64);
+            self.shard_weights.push(1 + nl + approx_degree_sum(self.net, bs, usize::MAX) as u64);
         }
         let total: u64 = self.shard_weights.iter().sum();
         self.shard_bounds.clear();

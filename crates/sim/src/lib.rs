@@ -72,7 +72,7 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 
-pub use engine::{Counters, Engine, PhaseTimings, Renumbering, Resolver, RunOutcome};
+pub use engine::{Counters, Engine, PhaseTimings, Resolver, RunOutcome};
 pub use ids::{Edge, GlobalChannel, LocalChannel, NodeId, Slot};
 pub use network::{
     MemoryFootprint, Network, NetworkBuilder, NetworkError, NetworkStats, StatsMode,

@@ -516,7 +516,8 @@ impl Network {
 pub struct NetworkBuilder {
     n: usize,
     channels: Vec<Option<Vec<GlobalChannel>>>,
-    edges: Vec<(NodeId, NodeId)>,
+    /// Raw `(u, v)` endpoint pairs, in the form [`Graph::from_edges`] reads.
+    edges: Vec<(u32, u32)>,
     stats: StatsMode,
 }
 
@@ -539,13 +540,13 @@ impl NetworkBuilder {
 
     /// Declares `u` and `v` to be within radio range of each other.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> &mut Self {
-        self.edges.push((u, v));
+        self.edges.push((u.0, v.0));
         self
     }
 
     /// Adds many edges at once.
     pub fn add_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> &mut Self {
-        self.edges.extend(edges);
+        self.edges.extend(edges.into_iter().map(|(u, v)| (u.0, v.0)));
         self
     }
 
@@ -610,27 +611,29 @@ impl NetworkBuilder {
             rev_global.extend(perm.iter().map(|p| p.0));
             rev_local.extend(perm.iter().map(|p| p.1));
         }
-        let mut raw_edges = Vec::with_capacity(self.edges.len());
         for &(u, v) in &self.edges {
-            if u.index() >= self.n {
-                return Err(NetworkError::UnknownNode(u));
-            }
-            if v.index() >= self.n {
-                return Err(NetworkError::UnknownNode(v));
+            for w in [u, v] {
+                if w as usize >= self.n {
+                    return Err(NetworkError::UnknownNode(NodeId(w)));
+                }
             }
             if u == v {
-                return Err(NetworkError::SelfLoop(u));
+                return Err(NetworkError::SelfLoop(NodeId(u)));
             }
-            raw_edges.push((u.0, v.0));
         }
-        let graph = Graph::from_edges(self.n, &raw_edges);
+        let graph = Graph::from_edges(self.n, &self.edges);
 
         // k / kmax ground truth + the k >= 1 model requirement, via a merge
-        // of the two endpoints' sorted reverse slices per edge.
+        // of the two endpoints' sorted reverse slices per edge. The edges are
+        // walked in the CSR in `Graph::edges` order, without copying them out:
+        // at n = 10⁶ every edge-list copy is a 30 MiB transient.
         let rev_of = |v: usize| &rev_global[v * c..(v + 1) * c];
         let mut k = c;
         let mut kmax = 1usize.min(c);
-        for (a, b) in graph.edges() {
+        let pairs = (0..self.n as u32)
+            .flat_map(|a| graph.neighbors(a as usize).iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| a < b);
+        for (a, b) in pairs {
             let shared = sorted_intersection_count(rev_of(a as usize), rev_of(b as usize));
             if shared == 0 {
                 return Err(NetworkError::NoSharedChannel(NodeId(a), NodeId(b)));

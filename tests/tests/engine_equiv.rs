@@ -25,11 +25,12 @@
 
 use crn_sim::channels::ChannelModel;
 use crn_sim::engine::Resolver;
+use crn_sim::rng::stream_rng;
 use crn_sim::topology::Topology;
 use crn_sim::{
     act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Counters, Engine, Feedback,
     FeedbackBatch, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol, SlotCtx,
-    SpectrumDynamics,
+    SpectrumDynamics, StatsMode,
 };
 use rand::{Rng, RngCore};
 
@@ -659,6 +660,60 @@ fn spectrum_survives_engine_reset() {
     eng.run_to_completion(slots);
     assert_eq!(eng.counters(), fresh2, "reused engine diverges from fresh");
     assert_eq!(eng.into_outputs(), traces2, "reused traces diverge from fresh");
+}
+
+/// The huge-sparse memory regression: at n = 10⁵ with average degree ≈ 8,
+/// network construction must stay linear — a few megabytes, zero dense
+/// adjacency rows — where the old eager `Vec<BitSet>` representation
+/// allocated ~1.25 GB. The engine on top adds only O(n + m) internal
+/// state, `are_neighbors` still answers correctly on both edges and
+/// non-edges, and a short sharded run delivers messages.
+#[test]
+fn huge_sparse_1e5_builds_linear_and_runs() {
+    let n = 100_000usize;
+    let seed = 4242u64;
+    let topology = Topology::SparseErdosRenyi { n, p: 8.0 / (n as f64 - 1.0) };
+    let channels = ChannelModel::SharedCore { c: 3, core: 2 };
+    let net =
+        Network::generate_with_stats(&topology, &channels, seed, StatsMode::Approximate).unwrap();
+
+    let stats = net.stats();
+    assert!(stats.edges > n, "expected a few hundred thousand edges, got {}", stats.edges);
+
+    // O(n + m) memory: linear structures only. The dense-adjacency bound
+    // this replaces is n²/8 = 1.25 GB; the flat CSR + channel tables for
+    // this instance are ~7 MiB. 64 MiB leaves headroom without ever
+    // tolerating a quadratic term.
+    let fp = net.memory_footprint();
+    assert_eq!(fp.adjacency_rows, 0, "avg degree 8 is far below the dense-row threshold");
+    assert!(fp.total_bytes() < 64 << 20, "network footprint must stay O(n+m), got {fp}");
+
+    // are_neighbors semantics survive the representation change: true on
+    // generated edges, false on (overwhelmingly likely) non-edges.
+    let edges = topology.edges(&mut stream_rng(seed, 1));
+    assert_eq!(edges.len(), stats.edges);
+    for &(a, b) in edges.iter().step_by(edges.len() / 64) {
+        use crn_sim::NodeId;
+        assert!(net.are_neighbors(NodeId(a), NodeId(b)), "edge ({a},{b}) lost");
+        assert!(net.are_neighbors(NodeId(b), NodeId(a)), "edge ({b},{a}) lost");
+    }
+    {
+        use crn_sim::NodeId;
+        assert!(!net.are_neighbors(NodeId(0), NodeId(0)), "self-adjacency");
+    }
+
+    // The engine's internal state is linear too, and the whole stack
+    // actually runs at this size.
+    let c = net.channels_per_node() as u16;
+    let make = |ctx: NodeCtx| Chatter { c, p_bcast: 0.05, id: ctx.id.0, trace: Vec::new() };
+    let mut eng = Engine::with_resolver(&net, 7, Resolver::sharded(4), make);
+    assert!(
+        eng.internal_memory_bytes() < 64 << 20,
+        "engine internal state must stay O(n+m), got {} bytes",
+        eng.internal_memory_bytes()
+    );
+    eng.run_to_completion(4);
+    assert!(eng.counters().deliveries > 0, "a 10⁵-node run must deliver something");
 }
 
 /// Property over topology/channel-count/seed space: the scalar sequential

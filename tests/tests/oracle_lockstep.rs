@@ -3,12 +3,14 @@
 //!
 //! Every other differential in this crate compares one engine mode with
 //! another, so a bug in a piece they all share (action collection, label
-//! translation, renumbering, packed outcomes, PU folding) would be
-//! invisible to them. The oracle shares none of those pieces: it is the
-//! paper's §3 model written out directly. Here the sequential `Auto` engine
-//! and the sharded engine at threads {1, 2, 4, 8} run in lockstep with it
-//! over topology × channel model × spectrum dynamics, and after every slot
-//! each node's feedback and the aggregate [`Counters`] must agree.
+//! translation, packed outcomes, PU folding) would be invisible to them.
+//! The oracle shares none of those pieces: it is the paper's §3 model
+//! written out directly. Here the sequential `Auto` engine and the sharded
+//! engine at threads {1, 2, 4, 8} run in lockstep with it over topology ×
+//! channel model × spectrum dynamics, and after every slot each node's
+//! feedback and the aggregate [`Counters`] must agree. A second case runs
+//! two 6000-node networks, large enough that only hubs keep dense
+//! adjacency rows.
 
 use crn_integration::oracle::{Observed, Oracle};
 use crn_sim::channels::ChannelModel;
